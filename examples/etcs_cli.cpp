@@ -13,10 +13,10 @@
 ///
 /// Exit code: 0 = task solved (verification feasible / layout found),
 ///            1 = proven infeasible, 2 = usage or input error.
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -27,6 +27,7 @@
 #include "core/tasks.hpp"
 #include "railway/dot.hpp"
 #include "railway/io.hpp"
+#include "util/parse.hpp"
 
 using namespace etcs;
 
@@ -44,14 +45,13 @@ struct CliOptions {
     bool explain = false;
     std::optional<std::string> explainJsonFile;
     int threads = 1;
-    bool cegar = false;
     bool unroll = false;
 };
 
 void usage() {
     std::cerr << "usage: etcs_cli <verify|generate|optimize|encode> <network.rail> "
                  "<scenario.sched> --rs <meters> --rt <seconds> [--dot <file>] "
-                 "[--cnf <file>] [--pure] [--threads <n>] [--cegar] [--unroll] [--explain] "
+                 "[--cnf <file>] [--pure] [--threads <n>] [--unroll] [--explain] "
                  "[--explain-json <file>]\n";
 }
 
@@ -72,10 +72,6 @@ std::optional<CliOptions> parseArguments(int argc, char** argv) {
             options.explain = true;
             continue;
         }
-        if (std::strcmp(argv[i], "--cegar") == 0) {
-            options.cegar = true;
-            continue;
-        }
         if (std::strcmp(argv[i], "--unroll") == 0) {
             options.unroll = true;
             continue;
@@ -84,9 +80,17 @@ std::optional<CliOptions> parseArguments(int argc, char** argv) {
             return std::nullopt;
         }
         if (std::strcmp(argv[i], "--rs") == 0) {
-            options.spatial = Meters(std::atoll(argv[i + 1]));
+            const auto metres = parseResolutionArgument(argv[i], argv[i + 1]);
+            if (!metres) {
+                return std::nullopt;
+            }
+            options.spatial = Meters(*metres);
         } else if (std::strcmp(argv[i], "--rt") == 0) {
-            options.temporal = Seconds(std::atoll(argv[i + 1]));
+            const auto seconds = parseResolutionArgument(argv[i], argv[i + 1]);
+            if (!seconds) {
+                return std::nullopt;
+            }
+            options.temporal = Seconds(*seconds);
         } else if (std::strcmp(argv[i], "--dot") == 0) {
             options.dotFile = argv[i + 1];
         } else if (std::strcmp(argv[i], "--cnf") == 0) {
@@ -95,11 +99,13 @@ std::optional<CliOptions> parseArguments(int argc, char** argv) {
             options.explainJsonFile = argv[i + 1];
             options.explain = true;
         } else if (std::strcmp(argv[i], "--threads") == 0) {
-            options.threads = std::atoi(argv[i + 1]);
-            if (options.threads < 0) {
+            const auto threads =
+                parseInteger(argv[i + 1], 0, std::numeric_limits<int>::max());
+            if (!threads) {
                 std::cerr << "error: --threads expects a count >= 0\n";
                 return std::nullopt;
             }
+            options.threads = *threads;
         } else {
             return std::nullopt;
         }
@@ -139,17 +145,6 @@ void maybeExplain(const CliOptions& options, const core::Instance& instance,
             std::cerr << "error: cannot write " << *options.explainJsonFile << "\n";
         }
     }
-}
-
-void maybePrintCegar(const CliOptions& options, const core::TaskStats& stats) {
-    if (!options.cegar) {
-        return;
-    }
-    std::cout << "cegar: " << stats.cegarIterations << " iterations, "
-              << stats.cegarOracleRejections << " oracle rejections, "
-              << stats.cegarRefinedCells << " cells refined ("
-              << stats.cegarRefinementClauses << " clauses), final formula "
-              << stats.numClauses << " clauses\n";
 }
 
 void maybePrintUnroll(const CliOptions& options, const core::TaskStats& stats,
@@ -220,11 +215,7 @@ int main(int argc, char** argv) {
         }
         core::TaskOptions taskOptions;
         taskOptions.threads = options->threads;
-        taskOptions.cegar = options->cegar;
         taskOptions.unroll = options->unroll;
-        if (options->cegar) {
-            std::cout << "solver: CEGAR lazy pass-through encoding\n";
-        }
         if (options->unroll) {
             std::cout << "solver: incremental horizon unrolling\n";
         }
@@ -241,7 +232,6 @@ int main(int argc, char** argv) {
                       << (result.feasible ? "FEASIBLE" : "INFEASIBLE") << " ["
                       << result.stats.numVariables << " vars, "
                       << result.stats.runtimeSeconds << " s]\n";
-            maybePrintCegar(*options, result.stats);
             maybePrintUnroll(*options, result.stats, instance.horizonSteps());
             if (!result.feasible) {
                 maybeExplain(*options, instance, &pure);
@@ -259,7 +249,6 @@ int main(int argc, char** argv) {
                       << result.solution->layout.virtualBorderCount(instance.graph())
                       << " virtual borders) [" << result.stats.numVariables << " vars, "
                       << result.stats.runtimeSeconds << " s]\n";
-            maybePrintCegar(*options, result.stats);
             maybePrintUnroll(*options, result.stats, instance.horizonSteps());
             maybeWriteDot(*options, instance.graph(), result.solution->layout);
             return 0;
@@ -283,7 +272,6 @@ int main(int argc, char** argv) {
                   << resolution.timeOf(result.completionSteps).clock() << ") with "
                   << result.sectionCount << " sections [" << result.stats.runtimeSeconds
                   << " s]\n";
-        maybePrintCegar(*options, result.stats);
         maybePrintUnroll(*options, result.stats, instance.horizonSteps());
         for (std::size_t r = 0; r < instance.numRuns(); ++r) {
             std::cout << "  " << scenario.trains.train(instance.runs()[r].train).name

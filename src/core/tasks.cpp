@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "core/cegar.hpp"
 #include "lint/rail_lint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -42,60 +41,6 @@ std::unique_ptr<cnf::SatBackend> makeBackend(const TaskOptions& options) {
 
 double secondsSince(Clock::time_point start) {
     return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// The encode/solve machinery of one task: either a plain backend driving the
-/// monolithic encoding, or a CEGAR EncodeSession (TaskOptions::cegar) whose
-/// solve() runs the abstraction-check-refine loop. Either way the task code
-/// talks to one SatBackend and one Encoder.
-struct SolveEngine {
-    std::unique_ptr<cnf::SatBackend> backend;   ///< monolithic path
-    std::unique_ptr<Encoder> monolithic;        ///< monolithic path
-    std::unique_ptr<EncodeSession> session;     ///< CEGAR path
-
-    [[nodiscard]] cnf::SatBackend& solver() {
-        return session ? static_cast<cnf::SatBackend&>(*session) : *backend;
-    }
-    [[nodiscard]] const cnf::SatBackend& solver() const {
-        return session ? static_cast<const cnf::SatBackend&>(*session) : *backend;
-    }
-    [[nodiscard]] Encoder& encoder() { return session ? session->encoder() : *monolithic; }
-    void encode(const VssLayout* fixedLayout) {
-        if (session) {
-            session->encode(fixedLayout);
-        } else {
-            monolithic->encode(fixedLayout);
-        }
-    }
-    void encodePrefix(const VssLayout* fixedLayout, int horizonSteps) {
-        if (session) {
-            session->encodePrefix(fixedLayout, horizonSteps);
-        } else {
-            monolithic->encodePrefix(fixedLayout, horizonSteps);
-        }
-    }
-    void extendHorizon(int newHorizonSteps) {
-        if (session) {
-            session->extendHorizon(newHorizonSteps);
-        } else {
-            monolithic->extendHorizon(newHorizonSteps);
-        }
-    }
-};
-
-SolveEngine makeEngine(const Instance& instance, const TaskOptions& options) {
-    SolveEngine engine;
-    if (options.cegar) {
-        CegarOptions cegarOptions;
-        cegarOptions.encoder = options.encoder;
-        cegarOptions.backendFactory = [options]() { return makeBackend(options); };
-        engine.session = std::make_unique<EncodeSession>(instance, cegarOptions);
-    } else {
-        engine.backend = makeBackend(options);
-        engine.monolithic =
-            std::make_unique<Encoder>(*engine.backend, instance, options.encoder);
-    }
-    return engine;
 }
 
 /// Fail-fast pre-pass: run the instance linter and report whether it proved
@@ -140,9 +85,8 @@ bool lintRejects(const Instance& instance, const TaskOptions& options, const cha
 
 /// Fold formula size and the backend's solver counters into the task stats,
 /// record the task runtime, and mirror the totals into the metrics registry.
-void finishStats(TaskStats& stats, const SolveEngine& engine, const char* task,
+void finishStats(TaskStats& stats, const cnf::SatBackend& backend, const char* task,
                  Clock::time_point start) {
-    const cnf::SatBackend& backend = engine.solver();
     stats.numVariables = backend.numVariables();
     stats.numClauses = backend.numClauses();
     const sat::SolverStats& solver = backend.stats();
@@ -153,13 +97,6 @@ void finishStats(TaskStats& stats, const SolveEngine& engine, const char* task,
     stats.maxDecisionLevel = solver.maxDecisionLevel;
     stats.peakLearnts = solver.peakLearnts;
     stats.runtimeSeconds = secondsSince(start);
-    if (engine.session) {
-        const CegarStats& cegar = engine.session->cegarStats();
-        stats.cegarIterations = cegar.iterations;
-        stats.cegarOracleRejections = cegar.oracleRejections;
-        stats.cegarRefinedCells = cegar.refinedCells;
-        stats.cegarRefinementClauses = cegar.refinementClauses;
-    }
 
     auto& registry = obs::Registry::global();
     registry.counter(std::string("etcs.task.") + task + ".runs").increment();
@@ -214,15 +151,14 @@ struct UnrollOutcome {
 /// full-horizon model by keeping every train done, and conversely any
 /// full-horizon model completing by step k-1 restricts to the prefix — see
 /// docs/UNROLLING.md for the argument.
-UnrollOutcome unrollSolve(SolveEngine& engine, const Instance& instance,
+UnrollOutcome unrollSolve(cnf::SatBackend& backend, Encoder& encoder, const Instance& instance,
                           const VssLayout* fixedLayout, bool completionAssumedAtFull) {
     auto& registry = obs::Registry::global();
     const int fullHorizon = instance.horizonSteps();
     UnrollOutcome out;
-    out.startHorizon = unrollStartHorizon(instance, engine.encoder());
-    engine.encodePrefix(fixedLayout, out.startHorizon);
+    out.startHorizon = unrollStartHorizon(instance, encoder);
+    encoder.encodePrefix(fixedLayout, out.startHorizon);
     for (int k = out.startHorizon;;) {
-        Encoder& encoder = engine.encoder();
         const bool finalSolve = k == fullHorizon && !completionAssumedAtFull;
         std::vector<cnf::Literal> assumptions;
         if (!finalSolve) {
@@ -236,7 +172,7 @@ UnrollOutcome unrollSolve(SolveEngine& engine, const Instance& instance,
         registry.counter("etcs.unroll.probes").increment();
         {
             const obs::Span probeSpan("unroll.probe");
-            out.status = engine.solver().solve(assumptions);
+            out.status = backend.solve(assumptions);
         }
         out.horizon = k;
         if (out.status == cnf::SolveStatus::Sat) {
@@ -249,7 +185,7 @@ UnrollOutcome unrollSolve(SolveEngine& engine, const Instance& instance,
         ++k;
         registry.counter("etcs.unroll.extensions").increment();
         const obs::Span extendSpan("unroll.extend");
-        engine.extendHorizon(k);
+        encoder.extendHorizon(k);
     }
     registry.gauge("etcs.unroll.start_horizon").set(out.startHorizon);
     registry.gauge("etcs.unroll.final_horizon").set(out.horizon);
@@ -284,20 +220,21 @@ VerificationResult verifySchedule(const Instance& instance, const VssLayout& lay
         return result;
     }
 
-    SolveEngine engine = makeEngine(instance, options);
+    const auto backend = makeBackend(options);
+    Encoder encoder(*backend, instance, options.encoder);
     if (options.unroll) {
-        const UnrollOutcome out = unrollSolve(engine, instance, &layout, false);
+        const UnrollOutcome out = unrollSolve(*backend, encoder, instance, &layout, false);
         recordUnroll(result.stats, out);
         result.feasible = out.status == cnf::SolveStatus::Sat;
     } else {
-        engine.encode(&layout);
+        encoder.encode(&layout);
         ++result.stats.solveCalls;
-        result.feasible = engine.solver().solve() == cnf::SolveStatus::Sat;
+        result.feasible = backend->solve() == cnf::SolveStatus::Sat;
     }
     if (result.feasible) {
-        result.solution = engine.encoder().decode();
+        result.solution = encoder.decode();
     }
-    finishStats(result.stats, engine, "verify", start);
+    finishStats(result.stats, *backend, "verify", start);
     return result;
 }
 
@@ -312,12 +249,10 @@ GenerationResult generateLayout(const Instance& instance, const TaskOptions& opt
         return result;
     }
 
-    SolveEngine engine = makeEngine(instance, options);
-    if (!options.unroll) {
-        engine.encode(nullptr);
-    }
+    const auto backend = makeBackend(options);
+    Encoder encoder(*backend, instance, options.encoder);
     if (options.unroll) {
-        const UnrollOutcome out = unrollSolve(engine, instance, nullptr, false);
+        const UnrollOutcome out = unrollSolve(*backend, encoder, instance, nullptr, false);
         recordUnroll(result.stats, out);
         result.feasible = out.status == cnf::SolveStatus::Sat;
         if (result.feasible && options.minimizeSections) {
@@ -327,31 +262,32 @@ GenerationResult generateLayout(const Instance& instance, const TaskOptions& opt
             // search without changing the optimum.
             std::vector<cnf::Literal> always;
             if (out.assumed) {
-                always.push_back(engine.encoder().doneAllLiteral(out.horizon - 1));
+                always.push_back(encoder.doneAllLiteral(out.horizon - 1));
             }
             const obs::Span minimizeSpan("minimize.borders");
             const auto minimized = opt::minimizeTrueLiterals(
-                engine.solver(), engine.encoder().freeBorderLiterals(),
-                options.borderSearch, {}, always);
+                *backend, encoder.freeBorderLiterals(), options.borderSearch, {}, always);
             result.stats.solveCalls += minimized.solveCalls;
             ETCS_REQUIRE_MSG(minimized.feasible,
                              "border minimization must stay feasible at the SAT prefix");
         }
     } else if (options.minimizeSections) {
+        encoder.encode(nullptr);
         const obs::Span minimizeSpan("minimize.borders");
         const auto minimized = opt::minimizeTrueLiterals(
-            engine.solver(), engine.encoder().freeBorderLiterals(), options.borderSearch);
+            *backend, encoder.freeBorderLiterals(), options.borderSearch);
         result.stats.solveCalls = minimized.solveCalls;
         result.feasible = minimized.feasible;
     } else {
+        encoder.encode(nullptr);
         ++result.stats.solveCalls;
-        result.feasible = engine.solver().solve() == cnf::SolveStatus::Sat;
+        result.feasible = backend->solve() == cnf::SolveStatus::Sat;
     }
     if (result.feasible) {
-        result.solution = engine.encoder().decode();
+        result.solution = encoder.decode();
         result.sectionCount = result.solution->sectionCount;
     }
-    finishStats(result.stats, engine, "generate", start);
+    finishStats(result.stats, *backend, "generate", start);
     return result;
 }
 
@@ -383,8 +319,8 @@ OptimizationResult optimizeImpl(const Instance& instance, const VssLayout* fixed
         return result;
     }
 
-    SolveEngine engine = makeEngine(instance, options);
-    Encoder& encoder = engine.encoder();
+    const auto backend = makeBackend(options);
+    Encoder encoder(*backend, instance, options.encoder);
 
     // Primary objective: minimize the number of time steps until all trains
     // have left (paper's min sum !done^t). done^t is monotone, so the optimum
@@ -398,15 +334,15 @@ OptimizationResult optimizeImpl(const Instance& instance, const VssLayout* fixed
         // no formula is needed to see it).
         result.verdict = OptimizeVerdict::HorizonTooShort;
         obs::Registry::global().counter("etcs.task.optimize.horizon_too_short").increment();
-        finishStats(result.stats, engine, "optimize", start);
+        finishStats(result.stats, *backend, "optimize", start);
         return result;
     }
 
     if (options.unroll) {
-        const UnrollOutcome out = unrollSolve(engine, instance, fixedLayout, true);
+        const UnrollOutcome out = unrollSolve(*backend, encoder, instance, fixedLayout, true);
         recordUnroll(result.stats, out);
         if (out.status != cnf::SolveStatus::Sat) {
-            finishStats(result.stats, engine, "optimize", start);
+            finishStats(result.stats, *backend, "optimize", start);
             return result;
         }
         result.feasible = true;
@@ -421,11 +357,11 @@ OptimizationResult optimizeImpl(const Instance& instance, const VssLayout* fixed
             const obs::Span minimizeSpan("minimize.borders");
             const cnf::Literal guard = encoder.horizonGuardLiteral();
             if (guard.valid()) {
-                engine.solver().addUnit(guard);
+                backend->addUnit(guard);
             }
-            engine.solver().addUnit(encoder.doneAllLiteral(result.completionSteps));
+            backend->addUnit(encoder.doneAllLiteral(result.completionSteps));
             const auto minimized = opt::minimizeTrueLiterals(
-                engine.solver(), encoder.freeBorderLiterals(), options.borderSearch);
+                *backend, encoder.freeBorderLiterals(), options.borderSearch);
             result.stats.solveCalls += minimized.solveCalls;
             ETCS_REQUIRE_MSG(minimized.feasible,
                              "border minimization must stay feasible at the optimal time");
@@ -433,21 +369,21 @@ OptimizationResult optimizeImpl(const Instance& instance, const VssLayout* fixed
 
         result.solution = encoder.decode();
         result.sectionCount = result.solution->sectionCount;
-        finishStats(result.stats, engine, "optimize", start);
+        finishStats(result.stats, *backend, "optimize", start);
         return result;
     }
 
-    engine.encode(fixedLayout);
+    encoder.encode(fixedLayout);
     opt::IndexSearchResult search;
     {
         const obs::Span minimizeSpan("minimize.completion_time");
         search = opt::smallestFeasibleIndex(
-            engine.solver(), [&](int step) { return encoder.doneAllLiteral(step); }, lo, hi,
+            *backend, [&](int step) { return encoder.doneAllLiteral(step); }, lo, hi,
             options.timeSearch);
     }
     result.stats.solveCalls = search.solveCalls;
     if (!search.feasible) {
-        finishStats(result.stats, engine, "optimize", start);
+        finishStats(result.stats, *backend, "optimize", start);
         return result;
     }
     result.feasible = true;
@@ -457,9 +393,9 @@ OptimizationResult optimizeImpl(const Instance& instance, const VssLayout* fixed
     if (options.lexicographicSections && fixedLayout == nullptr) {
         // Freeze the optimal completion time, then minimize virtual borders.
         const obs::Span minimizeSpan("minimize.borders");
-        engine.solver().addUnit(encoder.doneAllLiteral(search.index));
+        backend->addUnit(encoder.doneAllLiteral(search.index));
         const auto minimized = opt::minimizeTrueLiterals(
-            engine.solver(), encoder.freeBorderLiterals(), options.borderSearch);
+            *backend, encoder.freeBorderLiterals(), options.borderSearch);
         result.stats.solveCalls += minimized.solveCalls;
         ETCS_REQUIRE_MSG(minimized.feasible,
                          "border minimization must stay feasible at the optimal time");
@@ -467,7 +403,7 @@ OptimizationResult optimizeImpl(const Instance& instance, const VssLayout* fixed
 
     result.solution = encoder.decode();
     result.sectionCount = result.solution->sectionCount;
-    finishStats(result.stats, engine, "optimize", start);
+    finishStats(result.stats, *backend, "optimize", start);
     return result;
 }
 

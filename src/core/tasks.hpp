@@ -59,21 +59,13 @@ struct TaskOptions {
     /// way; set to false to opt out and always hand the instance to the
     /// solver.
     bool lintInstance = true;
-    /// Solve by counterexample-guided abstraction refinement (core/cegar.hpp,
-    /// docs/CEGAR.md): encode everything except the pass_through family, then
-    /// lazily materialize only the (run, step) pass-through cells the
-    /// simulator oracle refutes. Same verdicts and witnesses, usually far
-    /// fewer clauses. The backend factory/threads settings select the solver
-    /// the CEGAR session drives.
-    bool cegar = false;
     /// Unroll the time axis lazily (BMC-style, docs/UNROLLING.md): encode a
     /// short horizon prefix, probe it under the all-trains-done assumption on
     /// the warm incremental backend, and extend step by step only while the
     /// probe is UNSAT — so tasks stop encoding steps past completion and
     /// optimizeSchedule's completion search becomes "first horizon that is
     /// SAT". Same verdicts, witnesses, and objective values as the monolithic
-    /// encoding; composes with `cegar` (the prefix is then the CEGAR
-    /// abstraction of the prefix).
+    /// encoding.
     bool unroll = false;
 };
 
@@ -92,13 +84,6 @@ struct TaskStats {
     std::uint64_t restarts = 0;
     std::uint64_t maxDecisionLevel = 0;
     std::uint64_t peakLearnts = 0;
-    // CEGAR loop counters (all 0 unless TaskOptions::cegar); numClauses then
-    // reports the *final refined* formula, directly comparable against the
-    // monolithic encoding's clause count.
-    int cegarIterations = 0;
-    int cegarOracleRejections = 0;
-    int cegarRefinedCells = 0;
-    std::size_t cegarRefinementClauses = 0;
     // Horizon unrolling counters (all 0 unless TaskOptions::unroll);
     // numVariables/numClauses then report the final *unrolled* formula,
     // directly comparable against the monolithic encoding's counts.

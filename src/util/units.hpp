@@ -111,12 +111,17 @@ struct Resolution {
     Meters spatial;    ///< r_s: the smallest section length considered.
     Seconds temporal;  ///< r_t: the smallest amount of time considered.
 
+    /// Largest r_s (metres) or r_t (seconds) the command-line tools accept.
+    /// It keeps speed * r_t and r_t * step inside 64 bits.
+    static constexpr std::int64_t kMaxCount = 2147483647;
+
     /// Number of r_s segments a track of length `l` is partitioned into
     /// (at least 1; partial trailing segments round up).
     [[nodiscard]] int segmentsOf(Meters l) const {
         ETCS_REQUIRE_MSG(spatial.count() > 0, "spatial resolution must be positive");
         ETCS_REQUIRE_MSG(l.count() > 0, "track length must be positive");
-        return static_cast<int>((l.count() + spatial.count() - 1) / spatial.count());
+        return static_cast<int>(l.count() / spatial.count() +
+                                (l.count() % spatial.count() != 0 ? 1 : 0));
     }
 
     /// l*_tr = ceil(l_tr / r_s): segments occupied by a train of length `l`.

@@ -1,8 +1,8 @@
 /// \file cli_test.cpp
 /// End-to-end exit-code and output contracts of the shipped command-line
-/// tools: etcslint, gencnf, dratcheck, etcs_explain, benchdiff, etcsgen and
-/// etcs_cli (the latter two over the frozen generated corpus in
-/// tests/fixtures/gen/, see docs/GENERATOR.md). Exit code conventions:
+/// tools: etcslint, gencnf, dratcheck, etcs_explain, benchdiff, etcsgen,
+/// sat_solve and etcs_cli (etcsgen and etcs_cli also over the frozen
+/// generated corpus in tests/fixtures/gen/, see docs/GENERATOR.md). Exit code conventions:
 /// 0 success (for etcslint: no error-severity findings; for etcs_explain:
 /// feasible), 1 findings / NOT VERIFIED / infeasible / regressions, 2 usage
 /// or I/O error — and never partial output on failure.
@@ -38,6 +38,9 @@
 #endif
 #ifndef ETCS_CLI_BIN
 #error "ETCS_CLI_BIN must point at the etcs_cli executable"
+#endif
+#ifndef ETCS_SAT_SOLVE_BIN
+#error "ETCS_SAT_SOLVE_BIN must point at the sat_solve executable"
 #endif
 #ifndef ETCS_DATA_DIR
 #error "ETCS_DATA_DIR must point at the repository's data/ directory"
@@ -78,6 +81,7 @@ const std::string kExplain = ETCS_EXPLAIN_BIN;
 const std::string kBenchdiff = ETCS_BENCHDIFF_BIN;
 const std::string kEtcsgen = ETCS_ETCSGEN_BIN;
 const std::string kEtcsCli = ETCS_CLI_BIN;
+const std::string kSatSolve = ETCS_SAT_SOLVE_BIN;
 const std::string kData = ETCS_DATA_DIR;
 const std::string kFixtures = ETCS_FIXTURE_DIR;
 
@@ -350,6 +354,9 @@ TEST(EtcsExplainCli, MissingFileExitsTwo) {
 
 TEST(EtcsExplainCli, UsageErrorExitsTwo) {
     EXPECT_EQ(run(kExplain).exitCode, 2);
+    const std::string files = " " + kData + "/quickstart.rail " + kData + "/quickstart.sched";
+    EXPECT_EQ(run(kExplain + files + " --rs 500abc --rt 30").exitCode, 2);
+    EXPECT_EQ(run(kExplain + files + " --rs 500 --rt 9223372036854775807").exitCode, 2);
 }
 
 TEST(BenchdiffCli, IdenticalFilesHaveNoRegressions) {
@@ -469,6 +476,63 @@ TEST(EtcsCliGenCorpus, InfeasibleInstancesExitOne) {
                                 ".sched --rs 500 --rt 60");
         EXPECT_EQ(result.exitCode, 1) << result.output;
         EXPECT_NE(result.output.find("INFEASIBLE"), std::string::npos) << result.output;
+    }
+}
+
+/// etcs_cli on the quickstart scenario with extra arguments.
+RunResult runQuickstart(const std::string& arguments) {
+    return run(kEtcsCli + " verify " + kData + "/quickstart.rail " + kData +
+               "/quickstart.sched " + arguments);
+}
+
+TEST(EtcsCliArguments, ResolutionBeyondTheAcceptedRangeIsAUsageError) {
+    const auto result = runQuickstart("--rs 9223372036854775807 --rt 30");
+    EXPECT_EQ(result.exitCode, 2) << result.output;
+    EXPECT_NE(result.output.find("--rs expects a whole number"), std::string::npos)
+        << result.output;
+    EXPECT_EQ(runQuickstart("--rs 500 --rt 99999999999999999999").exitCode, 2);
+    EXPECT_EQ(runQuickstart("--rs 0 --rt 30").exitCode, 2);
+    EXPECT_EQ(runQuickstart("--rs -500 --rt 30").exitCode, 2);
+}
+
+TEST(EtcsCliArguments, ResolutionWithTrailingCharactersIsAUsageError) {
+    const auto result = runQuickstart("--rs 500abc --rt 30");
+    EXPECT_EQ(result.exitCode, 2) << result.output;
+    EXPECT_NE(result.output.find("--rs expects a whole number"), std::string::npos)
+        << result.output;
+    EXPECT_EQ(runQuickstart("--rs 500 --rt 30s").exitCode, 2);
+    EXPECT_EQ(runQuickstart("--rs 500 --rt \"\"").exitCode, 2);
+}
+
+TEST(EtcsCliArguments, NonNumericThreadCountIsAUsageError) {
+    const auto result = runQuickstart("--rs 500 --rt 30 --threads two");
+    EXPECT_EQ(result.exitCode, 2) << result.output;
+    EXPECT_NE(result.output.find("--threads expects a count"), std::string::npos)
+        << result.output;
+    EXPECT_EQ(runQuickstart("--rs 500 --rt 30 --threads 2x").exitCode, 2);
+    EXPECT_EQ(runQuickstart("--rs 500 --rt 30 --threads -1").exitCode, 2);
+}
+
+TEST(EtcsCliArguments, RemovedLazyModeFlagIsAUsageError) {
+    const auto result = runQuickstart("--rs 500 --rt 30 --cegar");
+    EXPECT_EQ(result.exitCode, 2) << result.output;
+    EXPECT_NE(result.output.find("usage:"), std::string::npos) << result.output;
+}
+
+TEST(SatSolveCli, NonNumericThreadCountIsAUsageError) {
+    const auto result = run(kSatSolve + " --threads two < /dev/null");
+    EXPECT_EQ(result.exitCode, 2) << result.output;
+    EXPECT_NE(result.output.find("--threads expects a count"), std::string::npos)
+        << result.output;
+    EXPECT_EQ(run(kSatSolve + " --threads 4cores < /dev/null").exitCode, 2);
+}
+
+TEST(SatSolveCli, RemovedLazyModeFlagsAreUsageErrors) {
+    for (const char* flag : {"--cegar", "--unroll"}) {
+        SCOPED_TRACE(flag);
+        const auto result = run(kSatSolve + " " + flag + " < /dev/null");
+        EXPECT_EQ(result.exitCode, 2) << result.output;
+        EXPECT_NE(result.output.find("usage:"), std::string::npos) << result.output;
     }
 }
 

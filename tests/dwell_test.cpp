@@ -129,8 +129,7 @@ TEST(Dwell, ValidatorCatchesShortenedDwell) {
     EXPECT_FALSE(violations.empty());
 }
 
-/// The instance's runs in the CEGAR oracle's vocabulary (the same mapping
-/// core::EncodeSession::encode performs).
+/// The instance's runs in the timeline checker's vocabulary (sim/check.hpp).
 std::vector<sim::CheckTrain> oracleView(const Instance& instance) {
     std::vector<sim::CheckTrain> trains;
     for (const DiscreteRun& r : instance.runs()) {
@@ -149,7 +148,7 @@ std::vector<sim::CheckTrain> oracleView(const Instance& instance) {
     return trains;
 }
 
-/// Regression (found by the CEGAR oracle): validateSolution and
+/// Regression (found by the timeline checker): validateSolution and
 /// sim::checkTimeline must accept exactly the same timelines, in particular
 /// on release/dwell boundaries. Both sides of each case are asserted so an
 /// off-by-one on either checker fails the test.
@@ -245,7 +244,7 @@ TEST(Dwell, CheckersAgreeOnReleaseBoundary) {
     // Backing away from the destination and then vanishing releases the
     // claimed sections away from the destination: rejected by both. (The
     // validator used to accept this — the stop windows are all honoured —
-    // which is exactly the gap the CEGAR oracle exposed.)
+    // which is exactly the gap the timeline checker exposed.)
     expectBothCheckersAgree(instance, timelineWith({SegmentId(3u)}), false,
                             "release away from destination");
 }

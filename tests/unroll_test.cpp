@@ -5,7 +5,7 @@
 ///     shipped case study and the frozen generated corpus;
 ///   * objective agreement: generation finds the same minimal section count
 ///     and optimization the same minimal completion time as the monolithic
-///     search, including through the CEGAR x unrolling cross product;
+///     search;
 ///   * the optimize path reports a too-short horizon as its own verdict
 ///     (HorizonTooShort) without encoding or solving;
 ///   * proof soundness: UNSAT at the full horizon (assumption-free final
@@ -24,7 +24,6 @@
 
 #include "cnf/backend.hpp"
 #include "cnf/collect.hpp"
-#include "core/cegar.hpp"
 #include "core/encoder.hpp"
 #include "core/instance.hpp"
 #include "core/layout.hpp"
@@ -192,18 +191,6 @@ TEST(Unroll, GenerationAndOptimizationAgree) {
     EXPECT_EQ(unrolledOpt.sectionCount, monolithicOpt.sectionCount);
     EXPECT_TRUE(validateSolution(open, *unrolledOpt.solution).empty());
     EXPECT_EQ(unrolledOpt.stats.unrollFinalHorizon, unrolledOpt.completionSteps + 1);
-
-    // The CEGAR x unrolling cross product: the prefix is then the CEGAR
-    // abstraction of the prefix. Same verdicts, same objective.
-    TaskOptions both = unrollOptions();
-    both.cegar = true;
-    const auto crossOpt = optimizeSchedule(open, both);
-    ASSERT_EQ(crossOpt.feasible, monolithicOpt.feasible);
-    EXPECT_EQ(crossOpt.completionSteps, monolithicOpt.completionSteps);
-    EXPECT_EQ(crossOpt.sectionCount, monolithicOpt.sectionCount);
-    EXPECT_TRUE(validateSolution(open, *crossOpt.solution).empty());
-    EXPECT_GT(crossOpt.stats.cegarIterations, 0);
-    EXPECT_GE(crossOpt.stats.unrollProbes, 1);
 }
 
 TEST(Unroll, OptimizeOnFixedLayoutAgrees) {
@@ -322,41 +309,6 @@ TEST(Unroll, UnsatProofRecertifies) {
     EXPECT_EQ(std::system(command.c_str()), 0) << command;
     std::remove(cnfPath.c_str());
     std::remove(proofPath.c_str());
-}
-
-/// The same certification through the CEGAR session: prefix abstraction,
-/// per-step extension, refinements, and a final assumption-free UNSAT whose
-/// proof checks against the recorded (refined, unrolled) formula.
-TEST(Unroll, CegarUnrollUnsatProofRecertifies) {
-    const studies::CaseStudy study = studies::runningExample();
-    const Instance instance(study.network, study.trains, study.timedSchedule,
-                            study.resolution);
-    const VssLayout pure(instance.graph());
-    const int fullHorizon = instance.horizonSteps();
-
-    CegarOptions options;
-    options.recordFormula = true;
-    EncodeSession session(instance, options);
-    sat::MemoryProofWriter proof;
-    ASSERT_TRUE(session.setProofWriter(&proof));
-
-    int k = driverStartHorizon(instance, session.encoder().completionLowerBound());
-    session.encodePrefix(&pure, k);
-    cnf::SolveStatus status = cnf::SolveStatus::Unknown;
-    for (;; ++k) {
-        if (k == fullHorizon) {
-            status = session.solve();
-            break;
-        }
-        status = session.solve({session.encoder().doneAllLiteral(k - 1)});
-        if (status != cnf::SolveStatus::Unsat) {
-            break;
-        }
-        session.extendHorizon(k + 1);
-    }
-    ASSERT_EQ(status, cnf::SolveStatus::Unsat);
-    const auto check = sat::checkDrat(session.formula(), proof.proof());
-    EXPECT_TRUE(check.verified) << check.error;
 }
 
 /// The acceptance pin: on Nordlandsbanen's open schedule, stopping the

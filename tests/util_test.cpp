@@ -1,6 +1,7 @@
 // Tests for the utility foundation: strong ids, units, discretization.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <unordered_set>
 
@@ -106,6 +107,10 @@ TEST(Resolution, SegmentsOfRoundsUp) {
     EXPECT_EQ(r.segmentsOf(Meters(501)), 2);
     EXPECT_EQ(r.segmentsOf(Meters(1500)), 3);
     EXPECT_EQ(r.segmentsOf(Meters(1)), 1);
+    // The rounding must not overflow at the top of the 64-bit range.
+    const Resolution coarsest{Meters(INT64_MAX), Seconds(30)};
+    EXPECT_EQ(coarsest.segmentsOf(Meters(500)), 1);
+    EXPECT_EQ(coarsest.segmentsOf(Meters(INT64_MAX)), 1);
 }
 
 TEST(Resolution, TrainLengthCeil) {
