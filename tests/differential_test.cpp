@@ -23,6 +23,7 @@
 #include "sat/solver.hpp"
 #include "studies/studies.hpp"
 #include "support/formula_helpers.hpp"
+#include "support/study_param.hpp"
 #include "support/test_seed.hpp"
 
 namespace etcs::sat {
@@ -252,10 +253,10 @@ EncodedInstance encodeStudy(const studies::CaseStudy& study) {
 }
 
 class EncoderDifferentialTest
-    : public ::testing::TestWithParam<studies::CaseStudy (*)()> {};
+    : public ::testing::TestWithParam<etcs::test::StudyParam> {};
 
 TEST_P(EncoderDifferentialTest, VerdictsMatchAndProofsCertify) {
-    const studies::CaseStudy study = GetParam()();
+    const studies::CaseStudy study = GetParam().make();
     SCOPED_TRACE(study.name);
     const EncodedInstance encoded = encodeStudy(study);
 
@@ -284,9 +285,7 @@ TEST_P(EncoderDifferentialTest, VerdictsMatchAndProofsCertify) {
     EXPECT_TRUE(proofCertifies(encoded.unsat, reduced.proof));
 }
 
-INSTANTIATE_TEST_SUITE_P(PaperLayouts, EncoderDifferentialTest,
-                         ::testing::Values(&studies::runningExample,
-                                           &studies::simpleLayout));
+INSTANTIATE_TEST_SUITE_P(PaperLayouts, EncoderDifferentialTest, etcs::test::paperLayouts());
 
 }  // namespace
 }  // namespace etcs::sat

@@ -37,6 +37,7 @@
 #include "sat/solver.hpp"
 #include "studies/studies.hpp"
 #include "support/formula_helpers.hpp"
+#include "support/study_param.hpp"
 #include "support/test_seed.hpp"
 
 namespace etcs::sat {
@@ -477,10 +478,10 @@ EncodedInstance encodeStudy(const studies::CaseStudy& study) {
     return out;
 }
 
-class PortfolioEncoderTest : public ::testing::TestWithParam<studies::CaseStudy (*)()> {};
+class PortfolioEncoderTest : public ::testing::TestWithParam<etcs::test::StudyParam> {};
 
 TEST_P(PortfolioEncoderTest, EtcsInstancesMatchAcrossModes) {
-    const studies::CaseStudy study = GetParam()();
+    const studies::CaseStudy study = GetParam().make();
     SCOPED_TRACE(study.name);
     const EncodedInstance encoded = encodeStudy(study);
 
@@ -508,9 +509,7 @@ TEST_P(PortfolioEncoderTest, EtcsInstancesMatchAcrossModes) {
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(PaperLayouts, PortfolioEncoderTest,
-                         ::testing::Values(&studies::runningExample,
-                                           &studies::simpleLayout));
+INSTANTIATE_TEST_SUITE_P(PaperLayouts, PortfolioEncoderTest, etcs::test::paperLayouts());
 
 // --------------------------------------------------- backend/task wiring --
 
