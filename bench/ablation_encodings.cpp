@@ -76,28 +76,6 @@ BENCHMARK(BM_BorderSearchStrategy)
     ->Arg(static_cast<int>(opt::SearchStrategy::Binary))
     ->Unit(benchmark::kMillisecond);
 
-void BM_TimeSearchStrategy(benchmark::State& state) {
-    const auto& study = running();
-    const core::Instance instance(study.network, study.trains, study.openSchedule,
-                                  study.resolution);
-    const auto strategy = static_cast<opt::SearchStrategy>(state.range(0));
-    core::TaskOptions options;
-    options.timeSearch = strategy;
-    for (auto _ : state) {
-        const auto result = core::optimizeSchedule(instance, options);
-        benchmark::DoNotOptimize(result.completionSteps);
-        if (!result.feasible) {
-            state.SkipWithError("optimization unexpectedly infeasible");
-        }
-    }
-    state.SetLabel(std::string(opt::toString(strategy)));
-}
-BENCHMARK(BM_TimeSearchStrategy)
-    ->Arg(static_cast<int>(opt::SearchStrategy::LinearDown))
-    ->Arg(static_cast<int>(opt::SearchStrategy::LinearUp))
-    ->Arg(static_cast<int>(opt::SearchStrategy::Binary))
-    ->Unit(benchmark::kMillisecond);
-
 /// Totalizer (reusable, assumption-driven) vs sequential counter (one-shot):
 /// enforce "at most k of 40" and solve once.
 void BM_CardinalityEncoding(benchmark::State& state) {

@@ -45,13 +45,12 @@ struct CliOptions {
     bool explain = false;
     std::optional<std::string> explainJsonFile;
     int threads = 1;
-    bool unroll = false;
 };
 
 void usage() {
     std::cerr << "usage: etcs_cli <verify|generate|optimize|encode> <network.rail> "
                  "<scenario.sched> --rs <meters> --rt <seconds> [--dot <file>] "
-                 "[--cnf <file>] [--pure] [--threads <n>] [--unroll] [--explain] "
+                 "[--cnf <file>] [--pure] [--threads <n>] [--explain] "
                  "[--explain-json <file>]\n";
 }
 
@@ -70,10 +69,6 @@ std::optional<CliOptions> parseArguments(int argc, char** argv) {
         }
         if (std::strcmp(argv[i], "--explain") == 0) {
             options.explain = true;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--unroll") == 0) {
-            options.unroll = true;
             continue;
         }
         if (i + 1 >= argc) {
@@ -147,9 +142,10 @@ void maybeExplain(const CliOptions& options, const core::Instance& instance,
     }
 }
 
-void maybePrintUnroll(const CliOptions& options, const core::TaskStats& stats,
-                      int fullHorizon) {
-    if (!options.unroll) {
+/// How far the horizon unrolling went (docs/UNROLLING.md).
+void printUnroll(const core::TaskStats& stats, int fullHorizon) {
+    if (stats.unrollProbes == 0) {
+        std::cout << "unroll: no probes, the linter proved the verdict before encoding\n";
         return;
     }
     std::cout << "unroll: horizon " << stats.unrollStartHorizon << " -> "
@@ -158,14 +154,22 @@ void maybePrintUnroll(const CliOptions& options, const core::TaskStats& stats,
               << " clauses\n";
 }
 
-void maybeWriteDot(const CliOptions& options, const rail::SegmentGraph& graph,
+/// With --dot: write the layout drawing. Returns false (after reporting)
+/// when the file cannot be written.
+bool maybeWriteDot(const CliOptions& options, const rail::SegmentGraph& graph,
                    const core::VssLayout& layout) {
     if (!options.dotFile) {
-        return;
+        return true;
     }
     std::ofstream out(*options.dotFile);
     rail::writeDot(out, graph, &layout.flags());
+    out.close();
+    if (!out) {
+        std::cerr << "error: cannot write " << *options.dotFile << "\n";
+        return false;
+    }
     std::cout << "layout drawing written to " << *options.dotFile << "\n";
+    return true;
 }
 
 }  // namespace
@@ -215,10 +219,6 @@ int main(int argc, char** argv) {
         }
         core::TaskOptions taskOptions;
         taskOptions.threads = options->threads;
-        taskOptions.unroll = options->unroll;
-        if (options->unroll) {
-            std::cout << "solver: incremental horizon unrolling\n";
-        }
         if (options->threads != 1) {
             std::cout << "solver: portfolio with "
                       << (options->threads == 0 ? "auto" : std::to_string(options->threads))
@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
                       << (result.feasible ? "FEASIBLE" : "INFEASIBLE") << " ["
                       << result.stats.numVariables << " vars, "
                       << result.stats.runtimeSeconds << " s]\n";
-            maybePrintUnroll(*options, result.stats, instance.horizonSteps());
+            printUnroll(result.stats, instance.horizonSteps());
             if (!result.feasible) {
                 maybeExplain(*options, instance, &pure);
             }
@@ -242,6 +242,7 @@ int main(int argc, char** argv) {
             const auto result = core::generateLayout(instance, taskOptions);
             if (!result.feasible) {
                 std::cout << "no VSS layout can realize this schedule\n";
+                printUnroll(result.stats, instance.horizonSteps());
                 maybeExplain(*options, instance, nullptr);
                 return 1;
             }
@@ -249,9 +250,8 @@ int main(int argc, char** argv) {
                       << result.solution->layout.virtualBorderCount(instance.graph())
                       << " virtual borders) [" << result.stats.numVariables << " vars, "
                       << result.stats.runtimeSeconds << " s]\n";
-            maybePrintUnroll(*options, result.stats, instance.horizonSteps());
-            maybeWriteDot(*options, instance.graph(), result.solution->layout);
-            return 0;
+            printUnroll(result.stats, instance.horizonSteps());
+            return maybeWriteDot(*options, instance.graph(), result.solution->layout) ? 0 : 2;
         }
         // optimize
         const auto result = core::optimizeSchedule(instance, taskOptions);
@@ -265,6 +265,7 @@ int main(int argc, char** argv) {
         }
         if (!result.feasible) {
             std::cout << "the trains cannot complete within the scenario horizon\n";
+            printUnroll(result.stats, instance.horizonSteps());
             maybeExplain(*options, instance, nullptr);
             return 1;
         }
@@ -272,15 +273,14 @@ int main(int argc, char** argv) {
                   << resolution.timeOf(result.completionSteps).clock() << ") with "
                   << result.sectionCount << " sections [" << result.stats.runtimeSeconds
                   << " s]\n";
-        maybePrintUnroll(*options, result.stats, instance.horizonSteps());
+        printUnroll(result.stats, instance.horizonSteps());
         for (std::size_t r = 0; r < instance.numRuns(); ++r) {
             std::cout << "  " << scenario.trains.train(instance.runs()[r].train).name
                       << " arrives "
                       << resolution.timeOf(result.solution->traces[r].firstArrivalStep).clock()
                       << "\n";
         }
-        maybeWriteDot(*options, instance.graph(), result.solution->layout);
-        return 0;
+        return maybeWriteDot(*options, instance.graph(), result.solution->layout) ? 0 : 2;
     } catch (const Error& e) {
         std::cerr << "error: " << e.what() << "\n";
         return 2;

@@ -49,7 +49,7 @@ std::vector<TradeoffPoint> tradeoffCurve(const Instance& instance, int maxExtraB
         if (lo <= hi) {
             const auto search = opt::smallestFeasibleIndex(
                 *backend, [&](int step) { return encoder.doneAllLiteral(step); }, lo, hi,
-                options.timeSearch, budget);
+                budget);
             if (search.feasible) {
                 point.feasible = true;
                 point.completionSteps = search.index;
@@ -259,7 +259,7 @@ IndividualArrivalResult optimizeIndividualArrivals(const Instance& instance,
         }
         const auto search = opt::smallestFeasibleIndex(
             *backend, [&](int step) { return encoder.doneLiteral(run, step); }, lo,
-            horizon - 1, options.timeSearch, everyoneFinishes);
+            horizon - 1, everyoneFinishes);
         result.stats.solveCalls += search.solveCalls;
         if (!search.feasible) {
             result.feasible = false;

@@ -112,7 +112,7 @@ void finishStats(TaskStats& stats, const cnf::SatBackend& backend, const char* t
     }
 }
 
-// ---- BMC-style horizon unrolling (TaskOptions::unroll, docs/UNROLLING.md) --
+// ---- BMC-style horizon unrolling: how every task solves (docs/UNROLLING.md)
 
 /// First horizon worth probing: every train must be able to finish inside the
 /// prefix (completion lower bound), and every pinned stop must lie strictly
@@ -222,15 +222,9 @@ VerificationResult verifySchedule(const Instance& instance, const VssLayout& lay
 
     const auto backend = makeBackend(options);
     Encoder encoder(*backend, instance, options.encoder);
-    if (options.unroll) {
-        const UnrollOutcome out = unrollSolve(*backend, encoder, instance, &layout, false);
-        recordUnroll(result.stats, out);
-        result.feasible = out.status == cnf::SolveStatus::Sat;
-    } else {
-        encoder.encode(&layout);
-        ++result.stats.solveCalls;
-        result.feasible = backend->solve() == cnf::SolveStatus::Sat;
-    }
+    const UnrollOutcome out = unrollSolve(*backend, encoder, instance, &layout, false);
+    recordUnroll(result.stats, out);
+    result.feasible = out.status == cnf::SolveStatus::Sat;
     if (result.feasible) {
         result.solution = encoder.decode();
     }
@@ -251,37 +245,24 @@ GenerationResult generateLayout(const Instance& instance, const TaskOptions& opt
 
     const auto backend = makeBackend(options);
     Encoder encoder(*backend, instance, options.encoder);
-    if (options.unroll) {
-        const UnrollOutcome out = unrollSolve(*backend, encoder, instance, nullptr, false);
-        recordUnroll(result.stats, out);
-        result.feasible = out.status == cnf::SolveStatus::Sat;
-        if (result.feasible && options.minimizeSections) {
-            // Minimize borders inside the SAT prefix: completion by the
-            // prefix's last step is objective-preserving for a fully timed
-            // schedule (docs/UNROLLING.md), so the assumption scopes the
-            // search without changing the optimum.
-            std::vector<cnf::Literal> always;
-            if (out.assumed) {
-                always.push_back(encoder.doneAllLiteral(out.horizon - 1));
-            }
-            const obs::Span minimizeSpan("minimize.borders");
-            const auto minimized = opt::minimizeTrueLiterals(
-                *backend, encoder.freeBorderLiterals(), options.borderSearch, {}, always);
-            result.stats.solveCalls += minimized.solveCalls;
-            ETCS_REQUIRE_MSG(minimized.feasible,
-                             "border minimization must stay feasible at the SAT prefix");
+    const UnrollOutcome out = unrollSolve(*backend, encoder, instance, nullptr, false);
+    recordUnroll(result.stats, out);
+    result.feasible = out.status == cnf::SolveStatus::Sat;
+    if (result.feasible && options.minimizeSections) {
+        // Minimize borders inside the SAT prefix: completion by the prefix's
+        // last step is objective-preserving for a fully timed schedule
+        // (docs/UNROLLING.md), so the assumption scopes the search without
+        // changing the optimum.
+        std::vector<cnf::Literal> always;
+        if (out.assumed) {
+            always.push_back(encoder.doneAllLiteral(out.horizon - 1));
         }
-    } else if (options.minimizeSections) {
-        encoder.encode(nullptr);
         const obs::Span minimizeSpan("minimize.borders");
         const auto minimized = opt::minimizeTrueLiterals(
-            *backend, encoder.freeBorderLiterals(), options.borderSearch);
-        result.stats.solveCalls = minimized.solveCalls;
-        result.feasible = minimized.feasible;
-    } else {
-        encoder.encode(nullptr);
-        ++result.stats.solveCalls;
-        result.feasible = backend->solve() == cnf::SolveStatus::Sat;
+            *backend, encoder.freeBorderLiterals(), options.borderSearch, {}, always);
+        result.stats.solveCalls += minimized.solveCalls;
+        ETCS_REQUIRE_MSG(minimized.feasible,
+                         "border minimization must stay feasible at the SAT prefix");
     }
     if (result.feasible) {
         result.solution = encoder.decode();
@@ -324,11 +305,10 @@ OptimizationResult optimizeImpl(const Instance& instance, const VssLayout* fixed
 
     // Primary objective: minimize the number of time steps until all trains
     // have left (paper's min sum !done^t). done^t is monotone, so the optimum
-    // is the smallest step at which the done-all selector can hold.
+    // is the smallest step at which the done-all selector can hold: the
+    // unrolling driver's first SAT horizon, minus one.
     result.completionLowerBound = encoder.completionLowerBound();
-    const int lo = result.completionLowerBound;
-    const int hi = instance.horizonSteps() - 1;
-    if (lo > hi) {
+    if (result.completionLowerBound > instance.horizonSteps() - 1) {
         // The horizon admits no completion at all — a bound mismatch, not a
         // proof of infeasibility. Report it distinctly (and skip encoding:
         // no formula is needed to see it).
@@ -338,62 +318,25 @@ OptimizationResult optimizeImpl(const Instance& instance, const VssLayout* fixed
         return result;
     }
 
-    if (options.unroll) {
-        const UnrollOutcome out = unrollSolve(*backend, encoder, instance, fixedLayout, true);
-        recordUnroll(result.stats, out);
-        if (out.status != cnf::SolveStatus::Sat) {
-            finishStats(result.stats, *backend, "optimize", start);
-            return result;
-        }
-        result.feasible = true;
-        result.verdict = OptimizeVerdict::Feasible;
-        // First SAT horizon k means completion at step k-1 and UNSAT
-        // everywhere below — exactly the monolithic smallest feasible index.
-        result.completionSteps = out.horizon - 1;
-
-        if (options.lexicographicSections && fixedLayout == nullptr) {
-            // Freeze the optimal completion time (and the prefix guard, when
-            // one is active), then minimize virtual borders.
-            const obs::Span minimizeSpan("minimize.borders");
-            const cnf::Literal guard = encoder.horizonGuardLiteral();
-            if (guard.valid()) {
-                backend->addUnit(guard);
-            }
-            backend->addUnit(encoder.doneAllLiteral(result.completionSteps));
-            const auto minimized = opt::minimizeTrueLiterals(
-                *backend, encoder.freeBorderLiterals(), options.borderSearch);
-            result.stats.solveCalls += minimized.solveCalls;
-            ETCS_REQUIRE_MSG(minimized.feasible,
-                             "border minimization must stay feasible at the optimal time");
-        }
-
-        result.solution = encoder.decode();
-        result.sectionCount = result.solution->sectionCount;
-        finishStats(result.stats, *backend, "optimize", start);
-        return result;
-    }
-
-    encoder.encode(fixedLayout);
-    opt::IndexSearchResult search;
-    {
-        const obs::Span minimizeSpan("minimize.completion_time");
-        search = opt::smallestFeasibleIndex(
-            *backend, [&](int step) { return encoder.doneAllLiteral(step); }, lo, hi,
-            options.timeSearch);
-    }
-    result.stats.solveCalls = search.solveCalls;
-    if (!search.feasible) {
+    const UnrollOutcome out = unrollSolve(*backend, encoder, instance, fixedLayout, true);
+    recordUnroll(result.stats, out);
+    if (out.status != cnf::SolveStatus::Sat) {
         finishStats(result.stats, *backend, "optimize", start);
         return result;
     }
     result.feasible = true;
     result.verdict = OptimizeVerdict::Feasible;
-    result.completionSteps = search.index;
+    result.completionSteps = out.horizon - 1;
 
     if (options.lexicographicSections && fixedLayout == nullptr) {
-        // Freeze the optimal completion time, then minimize virtual borders.
+        // Freeze the optimal completion time (and the prefix guard, when one
+        // is active), then minimize virtual borders.
         const obs::Span minimizeSpan("minimize.borders");
-        backend->addUnit(encoder.doneAllLiteral(search.index));
+        const cnf::Literal guard = encoder.horizonGuardLiteral();
+        if (guard.valid()) {
+            backend->addUnit(guard);
+        }
+        backend->addUnit(encoder.doneAllLiteral(result.completionSteps));
         const auto minimized = opt::minimizeTrueLiterals(
             *backend, encoder.freeBorderLiterals(), options.borderSearch);
         result.stats.solveCalls += minimized.solveCalls;

@@ -6,6 +6,10 @@
 ///   3. optimizeSchedule — find layout + schedule minimizing completion time
 ///                         (min sum !done^t), optionally followed by a
 ///                         lexicographic section minimization.
+/// Every task solves by BMC-style horizon unrolling on one warm incremental
+/// backend (docs/UNROLLING.md): encode a short horizon prefix, probe it under
+/// the all-trains-done assumption, and extend step by step while the probe is
+/// UNSAT. For optimizeSchedule the first SAT horizon is the optimum.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +30,6 @@ namespace etcs::core {
 struct TaskOptions {
     EncoderOptions encoder;
     opt::SearchStrategy borderSearch = opt::SearchStrategy::LinearDown;
-    opt::SearchStrategy timeSearch = opt::SearchStrategy::Binary;
     /// Generation: minimize the number of virtual borders (paper's
     /// min sum border_v). When false, any feasible layout is returned.
     bool minimizeSections = true;
@@ -59,14 +62,6 @@ struct TaskOptions {
     /// way; set to false to opt out and always hand the instance to the
     /// solver.
     bool lintInstance = true;
-    /// Unroll the time axis lazily (BMC-style, docs/UNROLLING.md): encode a
-    /// short horizon prefix, probe it under the all-trains-done assumption on
-    /// the warm incremental backend, and extend step by step only while the
-    /// probe is UNSAT — so tasks stop encoding steps past completion and
-    /// optimizeSchedule's completion search becomes "first horizon that is
-    /// SAT". Same verdicts, witnesses, and objective values as the monolithic
-    /// encoding.
-    bool unroll = false;
 };
 
 /// Effort/size measurements common to all tasks (Table I columns), extended
@@ -84,9 +79,10 @@ struct TaskStats {
     std::uint64_t restarts = 0;
     std::uint64_t maxDecisionLevel = 0;
     std::uint64_t peakLearnts = 0;
-    // Horizon unrolling counters (all 0 unless TaskOptions::unroll);
-    // numVariables/numClauses then report the final *unrolled* formula,
-    // directly comparable against the monolithic encoding's counts.
+    // Horizon unrolling (docs/UNROLLING.md), how every task solves: all 0
+    // only when the task answered before encoding (lint rejection or
+    // HorizonTooShort). numVariables/numClauses report the final *unrolled*
+    // formula, which stops at the horizon where the verdict fell.
     int unrollProbes = 0;         ///< horizon probes on the warm backend
     int unrollStartHorizon = 0;   ///< first encoded prefix length (steps)
     int unrollFinalHorizon = 0;   ///< horizon at which the verdict fell

@@ -194,76 +194,41 @@ MinimizeResult minimizeWeightedTrueLiterals(SatBackend& backend,
 
 IndexSearchResult smallestFeasibleIndex(SatBackend& backend,
                                         const std::function<Literal(int)>& literalAt, int lo,
-                                        int hi, SearchStrategy strategy,
-                                        std::span<const Literal> alwaysAssume) {
+                                        int hi, std::span<const Literal> alwaysAssume) {
     ETCS_REQUIRE_MSG(lo <= hi, "empty search range");
     const obs::Span span("opt.index_search");
     IndexSearchResult result;
     std::vector<Literal> assumptions(alwaysAssume.begin(), alwaysAssume.end());
-    int lastProbedIndex = lo - 1;
     bool lastProbeSat = false;
     auto feasible = [&](int t) {
         ++result.solveCalls;
         assumptions.resize(alwaysAssume.size());
         assumptions.push_back(literalAt(t));
-        const bool sat = backend.solve(assumptions) == SolveStatus::Sat;
-        lastProbedIndex = t;
-        lastProbeSat = sat;
-        recordBoundProbe("opt.probe_index", t, sat);
-        return sat;
+        lastProbeSat = backend.solve(assumptions) == SolveStatus::Sat;
+        recordBoundProbe("opt.probe_index", t, lastProbeSat);
+        return lastProbeSat;
     };
 
-    switch (strategy) {
-        case SearchStrategy::Binary: {
-            // Establish feasibility at hi first (monotone upper end).
-            if (!feasible(hi)) {
-                return result;
-            }
-            int feasibleHi = hi;
-            int infeasibleLo = lo - 1;
-            while (infeasibleLo + 1 < feasibleHi) {
-                const int mid = infeasibleLo + (feasibleHi - infeasibleLo) / 2;
-                if (feasible(mid)) {
-                    feasibleHi = mid;
-                } else {
-                    infeasibleLo = mid;
-                }
-            }
-            result.feasible = true;
-            result.index = feasibleHi;
-            break;
-        }
-        case SearchStrategy::LinearUp: {
-            for (int t = lo; t <= hi; ++t) {
-                if (feasible(t)) {
-                    result.feasible = true;
-                    result.index = t;
-                    break;
-                }
-            }
-            break;
-        }
-        case SearchStrategy::LinearDown: {
-            if (!feasible(hi)) {
-                return result;
-            }
-            int best = hi;
-            for (int t = hi - 1; t >= lo; --t) {
-                if (!feasible(t)) {
-                    break;
-                }
-                best = t;
-            }
-            result.feasible = true;
-            result.index = best;
-            break;
+    // Establish feasibility at hi first (monotone upper end).
+    if (!feasible(hi)) {
+        return result;
+    }
+    int feasibleHi = hi;
+    int infeasibleLo = lo - 1;
+    while (infeasibleLo + 1 < feasibleHi) {
+        const int mid = infeasibleLo + (feasibleHi - infeasibleLo) / 2;
+        if (feasible(mid)) {
+            feasibleHi = mid;
+        } else {
+            infeasibleLo = mid;
         }
     }
-    if (result.feasible && !(lastProbeSat && lastProbedIndex == result.index)) {
-        // Re-solve at the optimum so the backend's model matches it — but
-        // only when the search's final probe was not already the optimum
-        // (LinearUp always ends there; the others often do), sparing one
-        // solver call per search.
+    result.feasible = true;
+    result.index = feasibleHi;
+    if (!lastProbeSat) {
+        // The last probe was the UNSAT one just below the optimum: re-solve
+        // at the optimum so the backend's model matches the returned index.
+        // A SAT last probe always was the optimum, sparing that call.
         const bool ok = feasible(result.index);
         ETCS_REQUIRE_MSG(ok, "optimal index must remain satisfiable");
     }

@@ -1,12 +1,14 @@
 /// \file minimize.hpp
 /// Objective minimization on top of incremental SAT.
 ///
-/// Two primitives cover both objective functions of the paper (Sec. III-C):
+/// Two primitives over the paper's objective functions (Sec. III-C):
 ///   * minimizeTrueLiterals  — min sum of Boolean "soft" literals
 ///                             (used for  min Σ border_v),
 ///   * smallestFeasibleIndex — min index t such that a monotone family of
-///                             literals can hold (used for completion-time
-///                             minimization via the monotone done^t chain).
+///                             literals can hold (used by core/analysis for
+///                             per-budget and per-train completion times; the
+///                             tasks find the completion time by horizon
+///                             unrolling instead).
 #pragma once
 
 #include <cstdint>
@@ -67,14 +69,12 @@ struct IndexSearchResult {
 };
 
 /// Find the smallest index t in [lo, hi] such that solve({literalAt(t)}) is
-/// SAT.  Requires monotonicity: if t is feasible then every t' > t is
-/// feasible (the paper's done^t literals satisfy this by construction).
-/// Leaves the backend's model at the optimal index when feasible.
-/// `alwaysAssume` literals are added to every solve.
+/// SAT, by bisection.  Requires monotonicity: if t is feasible then every
+/// t' > t is feasible (the paper's done^t literals satisfy this by
+/// construction). Leaves the backend's model at the optimal index when
+/// feasible. `alwaysAssume` literals are added to every solve.
 IndexSearchResult smallestFeasibleIndex(SatBackend& backend,
                                         const std::function<Literal(int)>& literalAt, int lo,
-                                        int hi,
-                                        SearchStrategy strategy = SearchStrategy::Binary,
-                                        std::span<const Literal> alwaysAssume = {});
+                                        int hi, std::span<const Literal> alwaysAssume = {});
 
 }  // namespace etcs::opt

@@ -514,9 +514,23 @@ TEST(EtcsCliArguments, NonNumericThreadCountIsAUsageError) {
 }
 
 TEST(EtcsCliArguments, RemovedLazyModeFlagIsAUsageError) {
-    const auto result = runQuickstart("--rs 500 --rt 30 --cegar");
+    for (const char* flag : {"--cegar", "--unroll"}) {
+        SCOPED_TRACE(flag);
+        const auto result = runQuickstart(std::string("--rs 500 --rt 30 ") + flag);
+        EXPECT_EQ(result.exitCode, 2) << result.output;
+        EXPECT_NE(result.output.find("usage:"), std::string::npos) << result.output;
+    }
+}
+
+TEST(EtcsCliArguments, UnwritableDotFileExitsTwo) {
+    const auto result = run(kEtcsCli + " generate " + kData + "/quickstart.rail " + kData +
+                            "/quickstart.sched --rs 500 --rt 30 --dot /nonexistent_dir/x.dot");
     EXPECT_EQ(result.exitCode, 2) << result.output;
-    EXPECT_NE(result.output.find("usage:"), std::string::npos) << result.output;
+    EXPECT_NE(result.output.find("error: cannot write /nonexistent_dir/x.dot"),
+              std::string::npos)
+        << result.output;
+    EXPECT_EQ(result.output.find("layout drawing written"), std::string::npos)
+        << result.output;
 }
 
 TEST(SatSolveCli, NonNumericThreadCountIsAUsageError) {

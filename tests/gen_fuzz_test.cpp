@@ -16,9 +16,10 @@
 ///   * pruned vs. unpruned: the reachability-pruned encoding (the default;
 ///     certifyUnsat also DRAT-checks its refutations) must agree with the
 ///     full encoding on every verdict, and both witnesses must validate;
-///   * unrolled vs. monolithic: BMC-style horizon unrolling
-///     (docs/UNROLLING.md) must reach the reference verdict on every
-///     scenario with a validating witness.
+///   * task vs. full horizon: the tasks solve by BMC-style horizon
+///     unrolling (docs/UNROLLING.md); the reference verdict comes from the
+///     full-horizon encoding of support/full_horizon.hpp, and the task must
+///     reach it on every scenario with a validating witness.
 ///
 /// Reproduce a failure with ETCS_TEST_SEED=N or --seed=N (see
 /// support/test_seed.hpp); the per-scenario SCOPED_TRACE names the instance.
@@ -40,6 +41,7 @@
 #include "sat/drat_check.hpp"
 #include "sat/proof.hpp"
 #include "sat/solver.hpp"
+#include "support/full_horizon.hpp"
 #include "support/test_seed.hpp"
 
 namespace {
@@ -99,12 +101,20 @@ TEST(GenFuzz, DifferentialBattery) {
                                                     params.resolution);
                 const auto finest = etcs::core::VssLayout::finest(instance.graph());
 
-                // Reference verdict: the internal backend, lint disabled so
-                // the solver itself is exercised on every instance.
+                // Reference verdict: one solve of the full-horizon encoding
+                // on the internal backend.
+                const auto reference = etcs::test::fullHorizonVerify(instance, finest);
+
+                // The task, lint disabled so the solver itself is exercised
+                // on every instance, unrolls the horizon and must reach the
+                // reference verdict.
                 etcs::core::TaskOptions internal;
                 internal.lintInstance = false;
                 const auto verdict =
                     etcs::core::verifySchedule(instance, finest, internal);
+                EXPECT_EQ(verdict.feasible, reference.feasible)
+                    << "unrolled task and full-horizon reference disagree";
+                EXPECT_GE(verdict.stats.unrollProbes, 1);
 
                 // Construction guarantees.
                 if (kind == ScheduleKind::Feasible) {
@@ -125,8 +135,8 @@ TEST(GenFuzz, DifferentialBattery) {
                 }
 
                 // Reachability pruning soundness: the unpruned encoding
-                // (the reference verdict above uses the default, pruned
-                // one) must agree on every verdict, and its witnesses must
+                // (the task and the reference above use the default,
+                // pruned one) must agree on every verdict, and its witnesses must
                 // validate too.
                 etcs::core::TaskOptions unpruned;
                 unpruned.lintInstance = false;
@@ -177,24 +187,6 @@ TEST(GenFuzz, DifferentialBattery) {
                             << "simulation found a witness but the solver says UNSAT";
                     }
                 }
-
-                // Unrolling agreement: a lazily-extended horizon prefix
-                // must reach the reference verdict.
-                etcs::core::TaskOptions unrollOptions;
-                unrollOptions.lintInstance = false;
-                unrollOptions.unroll = true;
-                const auto unrollVerdict =
-                    etcs::core::verifySchedule(instance, finest, unrollOptions);
-                EXPECT_EQ(unrollVerdict.feasible, verdict.feasible)
-                    << "unrolled and monolithic encodings disagree";
-                if (unrollVerdict.feasible) {
-                    ASSERT_TRUE(unrollVerdict.solution.has_value());
-                    EXPECT_TRUE(
-                        etcs::core::validateSolution(instance, *unrollVerdict.solution)
-                            .empty())
-                        << "unrolled witness fails the solution validator";
-                }
-                EXPECT_GE(unrollVerdict.stats.unrollProbes, 1);
 
                 // Backend agreement.
                 etcs::core::TaskOptions portfolio;

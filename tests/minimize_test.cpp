@@ -137,6 +137,8 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, StrategyTest,
                              return name;
                          });
 
+/// Bisection is the only index search; the suite keeps its parameterized
+/// shape so the test names stay `AllStrategies/IndexSearchTest.*/binary`.
 class IndexSearchTest : public ::testing::TestWithParam<SearchStrategy> {};
 
 TEST_P(IndexSearchTest, FindsSmallestFeasibleIndex) {
@@ -149,7 +151,7 @@ TEST_P(IndexSearchTest, FindsSmallestFeasibleIndex) {
     }
     backend->addClause({~y[4]});  // t <= 4 infeasible
     const auto result = smallestFeasibleIndex(
-        *backend, [&](int t) { return y[t]; }, 0, 9, GetParam());
+        *backend, [&](int t) { return y[t]; }, 0, 9);
     ASSERT_TRUE(result.feasible);
     EXPECT_EQ(result.index, 5);
     EXPECT_TRUE(backend->modelValue(y[5]));
@@ -162,7 +164,7 @@ TEST_P(IndexSearchTest, ReportsInfeasibleRange) {
         backend->addClause({~l});
     }
     const auto result = smallestFeasibleIndex(
-        *backend, [&](int t) { return y[t]; }, 0, 3, GetParam());
+        *backend, [&](int t) { return y[t]; }, 0, 3);
     EXPECT_FALSE(result.feasible);
 }
 
@@ -170,14 +172,13 @@ TEST_P(IndexSearchTest, WholeRangeFeasibleReturnsLowerBound) {
     const auto backend = cnf::makeInternalBackend();
     std::vector<Literal> y = makeInputs(*backend, 4);
     const auto result = smallestFeasibleIndex(
-        *backend, [&](int t) { return y[t]; }, 1, 3, GetParam());
+        *backend, [&](int t) { return y[t]; }, 1, 3);
     ASSERT_TRUE(result.feasible);
     EXPECT_EQ(result.index, 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, IndexSearchTest,
-                         ::testing::Values(SearchStrategy::LinearDown,
-                                           SearchStrategy::LinearUp, SearchStrategy::Binary),
+                         ::testing::Values(SearchStrategy::Binary),
                          [](const ::testing::TestParamInfo<SearchStrategy>& info) {
                              std::string name(toString(info.param));
                              for (char& c : name) {
@@ -203,52 +204,30 @@ TEST(Minimize, SkipsRedundantTrailingResolve) {
     };
 
     {
-        // LinearUp probes 0..5 and ends SAT at the optimum: 6 calls, no
-        // trailing re-solve (was 7).
-        const auto backend = cnf::makeInternalBackend();
-        const auto y = makeChain(*backend);
-        const auto result = smallestFeasibleIndex(
-            *backend, [&](int t) { return y[t]; }, 0, 9, SearchStrategy::LinearUp);
-        ASSERT_TRUE(result.feasible);
-        EXPECT_EQ(result.index, 5);
-        EXPECT_EQ(result.solveCalls, 6U);
-        EXPECT_TRUE(backend->modelValue(y[5]));
-    }
-    {
         // Binary probes 9, 4, 6, 5 and ends SAT at the optimum: 4 calls
         // (was 5).
         const auto backend = cnf::makeInternalBackend();
         const auto y = makeChain(*backend);
         const auto result = smallestFeasibleIndex(
-            *backend, [&](int t) { return y[t]; }, 0, 9, SearchStrategy::Binary);
+            *backend, [&](int t) { return y[t]; }, 0, 9);
         ASSERT_TRUE(result.feasible);
         EXPECT_EQ(result.index, 5);
         EXPECT_EQ(result.solveCalls, 4U);
         EXPECT_TRUE(backend->modelValue(y[5]));
     }
     {
-        // LinearDown's last probe here is the UNSAT stop at 4, so the
-        // re-solve at the optimum is still required: 7 calls, model at 5.
+        // With t <= 5 infeasible, Binary probes 9, 4, 6, 5 and ends on the
+        // UNSAT probe below the optimum, so the re-solve at 6 is still
+        // required: 5 calls, model at 6.
         const auto backend = cnf::makeInternalBackend();
         const auto y = makeChain(*backend);
+        backend->addClause({~y[5]});
         const auto result = smallestFeasibleIndex(
-            *backend, [&](int t) { return y[t]; }, 0, 9, SearchStrategy::LinearDown);
+            *backend, [&](int t) { return y[t]; }, 0, 9);
         ASSERT_TRUE(result.feasible);
-        EXPECT_EQ(result.index, 5);
-        EXPECT_EQ(result.solveCalls, 7U);
-        EXPECT_TRUE(backend->modelValue(y[5]));
-    }
-    {
-        // A fully feasible range walks LinearDown to the lower bound and
-        // ends SAT right there: 3 calls, no re-solve (was 4).
-        const auto backend = cnf::makeInternalBackend();
-        const auto y = makeInputs(*backend, 4);
-        const auto result = smallestFeasibleIndex(
-            *backend, [&](int t) { return y[t]; }, 1, 3, SearchStrategy::LinearDown);
-        ASSERT_TRUE(result.feasible);
-        EXPECT_EQ(result.index, 1);
-        EXPECT_EQ(result.solveCalls, 3U);
-        EXPECT_TRUE(backend->modelValue(y[1]));
+        EXPECT_EQ(result.index, 6);
+        EXPECT_EQ(result.solveCalls, 5U);
+        EXPECT_TRUE(backend->modelValue(y[6]));
     }
 }
 

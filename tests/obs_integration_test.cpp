@@ -167,8 +167,8 @@ TEST_F(RunningFixture, TracedOptimizationEmitsMinimizeSpans) {
     std::remove(path.c_str());
 
     EXPECT_NE(text.find("\"task.optimize\""), std::string::npos);
-    EXPECT_NE(text.find("\"opt.index_search\""), std::string::npos);
-    EXPECT_NE(text.find("\"opt.probe_index\""), std::string::npos);
+    EXPECT_NE(text.find("\"unroll.probe\""), std::string::npos);
+    EXPECT_NE(text.find("\"opt.minimize\""), std::string::npos);
 }
 
 }  // namespace

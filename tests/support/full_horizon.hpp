@@ -1,0 +1,98 @@
+/// \file full_horizon.hpp
+/// A full-horizon reference for the three tasks, built only from library
+/// primitives: one `Encoder::encode` over every time step, then a plain
+/// solve (verify), `opt::minimizeTrueLiterals` over the free borders
+/// (generate), or `opt::smallestFeasibleIndex` over the done-all selectors
+/// followed by border minimization at the optimum (optimize). The tasks
+/// themselves solve by horizon unrolling (docs/UNROLLING.md); unroll_test and
+/// gen_fuzz_test check their verdicts, section counts and completion steps
+/// against this reference.
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <optional>
+
+#include "cnf/backend.hpp"
+#include "core/encoder.hpp"
+#include "core/instance.hpp"
+#include "core/layout.hpp"
+#include "opt/minimize.hpp"
+
+namespace etcs::test {
+
+struct FullHorizonResult {
+    bool feasible = false;
+    std::optional<core::Solution> solution;  ///< the decoded witness when feasible
+    int sectionCount = 0;                    ///< sections of the witness's layout
+    int completionSteps = 0;                 ///< optimize: smallest feasible step
+    int numVariables = 0;                    ///< final formula size
+    std::size_t numClauses = 0;
+};
+
+namespace detail {
+
+inline FullHorizonResult finish(const cnf::SatBackend& backend, const core::Encoder& encoder,
+                                bool feasible) {
+    FullHorizonResult result;
+    result.feasible = feasible;
+    if (feasible) {
+        result.solution = encoder.decode();
+        result.sectionCount = result.solution->sectionCount;
+    }
+    result.numVariables = backend.numVariables();
+    result.numClauses = backend.numClauses();
+    return result;
+}
+
+}  // namespace detail
+
+/// Task 1 on the full-horizon encoding: one solve on `layout`.
+inline FullHorizonResult fullHorizonVerify(const core::Instance& instance,
+                                           const core::VssLayout& layout) {
+    const auto backend = cnf::makeInternalBackend();
+    core::Encoder encoder(*backend, instance);
+    encoder.encode(&layout);
+    return detail::finish(*backend, encoder, backend->solve() == cnf::SolveStatus::Sat);
+}
+
+/// Task 2 on the full-horizon encoding: minimize the free virtual borders.
+inline FullHorizonResult fullHorizonGenerate(const core::Instance& instance) {
+    const auto backend = cnf::makeInternalBackend();
+    core::Encoder encoder(*backend, instance);
+    encoder.encode(nullptr);
+    const auto minimized =
+        opt::minimizeTrueLiterals(*backend, encoder.freeBorderLiterals());
+    return detail::finish(*backend, encoder, minimized.feasible);
+}
+
+/// Task 3 on the full-horizon encoding: bisect the smallest step at which
+/// every train can be done, then (free layout, `minimizeSections`) freeze it
+/// and minimize the virtual borders. Infeasible when the horizon admits no
+/// completion at all.
+inline FullHorizonResult fullHorizonOptimize(const core::Instance& instance,
+                                             const core::VssLayout* fixedLayout = nullptr,
+                                             bool minimizeSections = true) {
+    const auto backend = cnf::makeInternalBackend();
+    core::Encoder encoder(*backend, instance);
+    const int lo = encoder.completionLowerBound();
+    const int hi = instance.horizonSteps() - 1;
+    if (lo > hi) {
+        return {};
+    }
+    encoder.encode(fixedLayout);
+    const auto search = opt::smallestFeasibleIndex(
+        *backend, [&](int step) { return encoder.doneAllLiteral(step); }, lo, hi);
+    if (search.feasible && minimizeSections && fixedLayout == nullptr) {
+        backend->addUnit(encoder.doneAllLiteral(search.index));
+        const auto minimized =
+            opt::minimizeTrueLiterals(*backend, encoder.freeBorderLiterals());
+        EXPECT_TRUE(minimized.feasible) << "the optimal step must stay feasible";
+    }
+    FullHorizonResult result = detail::finish(*backend, encoder, search.feasible);
+    result.completionSteps = search.index;
+    return result;
+}
+
+}  // namespace etcs::test

@@ -1,18 +1,20 @@
 /// \file unroll_test.cpp
-/// Contracts of BMC-style incremental horizon unrolling (docs/UNROLLING.md):
+/// Contracts of BMC-style incremental horizon unrolling (docs/UNROLLING.md),
+/// the way every task solves, checked against the full-horizon reference of
+/// support/full_horizon.hpp:
 ///
-///   * verdict and witness agreement with the monolithic encoding on every
+///   * verdict and witness agreement with the full-horizon encoding on every
 ///     shipped case study and the frozen generated corpus;
 ///   * objective agreement: generation finds the same minimal section count
-///     and optimization the same minimal completion time as the monolithic
-///     search;
+///     and optimization the same minimal completion time as the full-horizon
+///     searches;
 ///   * the optimize path reports a too-short horizon as its own verdict
 ///     (HorizonTooShort) without encoding or solving;
 ///   * proof soundness: UNSAT at the full horizon (assumption-free final
 ///     solve) carries a DRAT proof that re-certifies against the unrolled
 ///     formula, both in-process and through the shipped `dratcheck` tool;
 ///   * on Nordlandsbanen, the unrolled optimization formula is measurably
-///     smaller than the monolithic one (the acceptance pin).
+///     smaller than the full-horizon one (the acceptance pin).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,6 +37,7 @@
 #include "sat/drat_check.hpp"
 #include "sat/proof.hpp"
 #include "studies/studies.hpp"
+#include "support/full_horizon.hpp"
 
 #ifndef ETCS_FIXTURE_DIR
 #error "ETCS_FIXTURE_DIR must point at tests/fixtures/"
@@ -81,56 +84,43 @@ int driverStartHorizon(const Instance& instance, int completionLowerBound) {
     return std::clamp(lo, 1, instance.horizonSteps());
 }
 
-TaskOptions monolithicOptions() {
+TaskOptions taskOptions() {
     TaskOptions options;
     options.lintInstance = false;  // exercise the solver on every instance
     return options;
 }
 
-TaskOptions unrollOptions() {
-    TaskOptions options = monolithicOptions();
-    options.unroll = true;
-    return options;
-}
-
-/// Verify `instance` on `layout` both ways; require identical verdicts,
-/// validating witnesses, and an unrolled formula no larger than the
-/// monolithic one (fully timed schedules have no open stops, so a prefix at
-/// horizon k is exactly the horizon-k monolithic encoding).
-struct AgreementResult {
-    bool feasible = false;
-    std::size_t monolithicClauses = 0;
-    std::size_t unrolledClauses = 0;
-};
-
-AgreementResult expectVerifyAgreement(const Instance& instance, const VssLayout& layout) {
-    const auto monolithic = verifySchedule(instance, layout, monolithicOptions());
-    const auto unrolled = verifySchedule(instance, layout, unrollOptions());
-    EXPECT_EQ(unrolled.feasible, monolithic.feasible)
-        << "unrolled and monolithic encodings disagree";
-    if (monolithic.feasible) {
-        EXPECT_TRUE(monolithic.solution.has_value());
-        EXPECT_TRUE(validateSolution(instance, *monolithic.solution).empty());
+/// Verify `instance` on `layout` with the task and the full-horizon
+/// reference; require identical verdicts, validating witnesses, and an
+/// unrolled formula no larger than the full-horizon one (fully timed
+/// schedules have no open stops, so a prefix at horizon k is exactly the
+/// horizon-k full encoding).
+bool expectVerifyAgreement(const Instance& instance, const VssLayout& layout) {
+    const auto reference = test::fullHorizonVerify(instance, layout);
+    const auto unrolled = verifySchedule(instance, layout, taskOptions());
+    EXPECT_EQ(unrolled.feasible, reference.feasible)
+        << "unrolled and full-horizon encodings disagree";
+    if (reference.feasible) {
+        EXPECT_TRUE(validateSolution(instance, *reference.solution).empty());
     }
     if (unrolled.feasible) {
         EXPECT_TRUE(unrolled.solution.has_value());
         EXPECT_TRUE(validateSolution(instance, *unrolled.solution).empty())
             << "unrolled witness fails the independent validator";
     }
-    // A prefix at horizon k is exactly the horizon-k monolithic encoding;
-    // the only addition is one lazily-built done-all selector per probe
+    // A prefix at horizon k is exactly the horizon-k full encoding; the only
+    // addition is one lazily-built done-all selector per probe
     // (numRuns + 1 clauses each), which plain verification never needs.
     const std::size_t selectorSlack =
         static_cast<std::size_t>(unrolled.stats.unrollProbes) *
         (instance.numRuns() + 1);
-    EXPECT_LE(unrolled.stats.numClauses, monolithic.stats.numClauses + selectorSlack)
-        << "an unrolled prefix must not exceed the monolithic clause count";
+    EXPECT_LE(unrolled.stats.numClauses, reference.numClauses + selectorSlack)
+        << "an unrolled prefix must not exceed the full-horizon clause count";
     EXPECT_GE(unrolled.stats.unrollProbes, 1);
     EXPECT_GE(unrolled.stats.unrollStartHorizon, 1);
     EXPECT_GE(unrolled.stats.unrollFinalHorizon, unrolled.stats.unrollStartHorizon);
     EXPECT_LE(unrolled.stats.unrollFinalHorizon, instance.horizonSteps());
-    return AgreementResult{monolithic.feasible, monolithic.stats.numClauses,
-                           unrolled.stats.numClauses};
+    return reference.feasible;
 }
 
 TEST(Unroll, AgreesWithMonolithicOnShippedScenarios) {
@@ -155,13 +145,13 @@ TEST(Unroll, AgreesWithMonolithicOnFrozenCorpus) {
         const rail::Scenario scenario = loadCorpusScenario(name, network);
         const Instance instance(network, scenario.trains, scenario.schedule,
                                 kCorpusResolution);
-        const auto result =
+        const bool feasible =
             expectVerifyAgreement(instance, VssLayout::finest(instance.graph()));
         if (name.find("_infeasible") != std::string::npos) {
-            EXPECT_FALSE(result.feasible) << "provably infeasible corpus instance is SAT";
+            EXPECT_FALSE(feasible) << "provably infeasible corpus instance is SAT";
         }
         if (name.find("_feasible") != std::string::npos) {
-            EXPECT_TRUE(result.feasible) << "feasible-by-construction instance is UNSAT";
+            EXPECT_TRUE(feasible) << "feasible-by-construction instance is UNSAT";
         }
     }
 }
@@ -170,25 +160,25 @@ TEST(Unroll, GenerationAndOptimizationAgree) {
     const studies::CaseStudy study = studies::runningExample();
     const Instance instance(study.network, study.trains, study.timedSchedule,
                             study.resolution);
-    const auto monolithic = generateLayout(instance, monolithicOptions());
-    const auto unrolled = generateLayout(instance, unrollOptions());
-    ASSERT_EQ(unrolled.feasible, monolithic.feasible);
+    const auto reference = test::fullHorizonGenerate(instance);
+    const auto unrolled = generateLayout(instance, taskOptions());
+    ASSERT_EQ(unrolled.feasible, reference.feasible);
     ASSERT_TRUE(unrolled.feasible);
     // Both searches are sound and complete, so the minimized section counts
     // must coincide exactly.
-    EXPECT_EQ(unrolled.sectionCount, monolithic.sectionCount);
+    EXPECT_EQ(unrolled.sectionCount, reference.sectionCount);
     EXPECT_TRUE(validateSolution(instance, *unrolled.solution).empty());
 
     const Instance open(study.network, study.trains, study.openSchedule,
                         study.resolution);
-    const auto monolithicOpt = optimizeSchedule(open, monolithicOptions());
-    const auto unrolledOpt = optimizeSchedule(open, unrollOptions());
-    ASSERT_EQ(unrolledOpt.feasible, monolithicOpt.feasible);
-    ASSERT_TRUE(monolithicOpt.feasible);
+    const auto referenceOpt = test::fullHorizonOptimize(open);
+    const auto unrolledOpt = optimizeSchedule(open, taskOptions());
+    ASSERT_EQ(unrolledOpt.feasible, referenceOpt.feasible);
+    ASSERT_TRUE(referenceOpt.feasible);
     EXPECT_EQ(unrolledOpt.verdict, OptimizeVerdict::Feasible);
-    // "First SAT horizon" must equal the monolithic smallest-index search.
-    EXPECT_EQ(unrolledOpt.completionSteps, monolithicOpt.completionSteps);
-    EXPECT_EQ(unrolledOpt.sectionCount, monolithicOpt.sectionCount);
+    // "First SAT horizon" must equal the full-horizon smallest-index search.
+    EXPECT_EQ(unrolledOpt.completionSteps, referenceOpt.completionSteps);
+    EXPECT_EQ(unrolledOpt.sectionCount, referenceOpt.sectionCount);
     EXPECT_TRUE(validateSolution(open, *unrolledOpt.solution).empty());
     EXPECT_EQ(unrolledOpt.stats.unrollFinalHorizon, unrolledOpt.completionSteps + 1);
 }
@@ -198,11 +188,11 @@ TEST(Unroll, OptimizeOnFixedLayoutAgrees) {
     const Instance open(study.network, study.trains, study.openSchedule,
                         study.resolution);
     const VssLayout finest = VssLayout::finest(open.graph());
-    const auto monolithic = optimizeScheduleOnLayout(open, finest, monolithicOptions());
-    const auto unrolled = optimizeScheduleOnLayout(open, finest, unrollOptions());
-    ASSERT_EQ(unrolled.feasible, monolithic.feasible);
-    if (monolithic.feasible) {
-        EXPECT_EQ(unrolled.completionSteps, monolithic.completionSteps);
+    const auto reference = test::fullHorizonOptimize(open, &finest);
+    const auto unrolled = optimizeScheduleOnLayout(open, finest, taskOptions());
+    ASSERT_EQ(unrolled.feasible, reference.feasible);
+    if (reference.feasible) {
+        EXPECT_EQ(unrolled.completionSteps, reference.completionSteps);
     }
 }
 
@@ -218,21 +208,17 @@ TEST(Unroll, OptimizeReportsHorizonTooShort) {
     const auto before = obs::Registry::global()
                             .counter("etcs.task.optimize.horizon_too_short")
                             .value();
-    for (const bool unroll : {false, true}) {
-        SCOPED_TRACE(unroll ? "unroll" : "monolithic");
-        TaskOptions options = unroll ? unrollOptions() : monolithicOptions();
-        const auto result = optimizeSchedule(instance, options);
-        EXPECT_FALSE(result.feasible);
-        EXPECT_EQ(result.verdict, OptimizeVerdict::HorizonTooShort);
-        EXPECT_EQ(toString(result.verdict), "horizon_too_short");
-        EXPECT_GT(result.completionLowerBound, instance.horizonSteps() - 1);
-        EXPECT_EQ(result.stats.solveCalls, 0U);
-        EXPECT_EQ(result.stats.numClauses, 0U) << "rejection must not encode";
-    }
+    const auto result = optimizeSchedule(instance, taskOptions());
+    EXPECT_FALSE(result.feasible);
+    EXPECT_EQ(result.verdict, OptimizeVerdict::HorizonTooShort);
+    EXPECT_EQ(toString(result.verdict), "horizon_too_short");
+    EXPECT_GT(result.completionLowerBound, instance.horizonSteps() - 1);
+    EXPECT_EQ(result.stats.solveCalls, 0U);
+    EXPECT_EQ(result.stats.numClauses, 0U) << "rejection must not encode";
     EXPECT_EQ(obs::Registry::global()
                   .counter("etcs.task.optimize.horizon_too_short")
                   .value(),
-              before + 2);
+              before + 1);
 }
 
 /// A feasible optimization must NOT be classified as HorizonTooShort.
@@ -240,7 +226,7 @@ TEST(Unroll, FeasibleOptimizationReportsFeasibleVerdict) {
     const studies::CaseStudy study = studies::runningExample();
     const Instance open(study.network, study.trains, study.openSchedule,
                         study.resolution);
-    const auto result = optimizeSchedule(open, unrollOptions());
+    const auto result = optimizeSchedule(open, taskOptions());
     ASSERT_TRUE(result.feasible);
     EXPECT_EQ(result.verdict, OptimizeVerdict::Feasible);
     EXPECT_EQ(toString(result.verdict), "feasible");
@@ -313,7 +299,7 @@ TEST(Unroll, UnsatProofRecertifies) {
 
 /// The acceptance pin: on Nordlandsbanen's open schedule, stopping the
 /// encoding at the first SAT horizon leaves measurably fewer clauses than
-/// the monolithic full-horizon formula.
+/// the full-horizon formula.
 TEST(Unroll, NordlandsbanenClauseReduction) {
     const studies::CaseStudy study = studies::nordlandsbanen();
     const Instance open(study.network, study.trains, study.openSchedule,
@@ -321,24 +307,22 @@ TEST(Unroll, NordlandsbanenClauseReduction) {
     // Skip the lexicographic border pass on both sides: the pin measures
     // encoding size, and one completion-time search per side keeps the
     // largest shipped study affordable in the fast suite.
-    TaskOptions monolithic = monolithicOptions();
-    monolithic.lexicographicSections = false;
-    TaskOptions unrolled = unrollOptions();
+    TaskOptions unrolled = taskOptions();
     unrolled.lexicographicSections = false;
 
-    const auto baseline = optimizeSchedule(open, monolithic);
+    const auto baseline = test::fullHorizonOptimize(open, nullptr, false);
     const auto probed = optimizeSchedule(open, unrolled);
     ASSERT_EQ(probed.feasible, baseline.feasible);
     ASSERT_TRUE(baseline.feasible);
     EXPECT_EQ(probed.completionSteps, baseline.completionSteps);
     EXPECT_LT(probed.stats.unrollFinalHorizon, open.horizonSteps())
         << "the optimum must fall before the full horizon for the pin to bite";
-    // The acceptance bar: at least 15% fewer clauses than monolithic (the
-    // optimal timetable completes around 80% of the shipped horizon, so the
-    // unrolled formula drops the last ~20% of the steps; measured ~20%).
-    EXPECT_LE(probed.stats.numClauses * 100, baseline.stats.numClauses * 85)
-        << "unrolled formula " << probed.stats.numClauses << " vs monolithic "
-        << baseline.stats.numClauses;
+    // The acceptance bar: at least 15% fewer clauses than the full horizon
+    // (the optimal timetable completes around 80% of the shipped horizon, so
+    // the unrolled formula drops the last ~20% of the steps; measured ~20%).
+    EXPECT_LE(probed.stats.numClauses * 100, baseline.numClauses * 85)
+        << "unrolled formula " << probed.stats.numClauses << " vs full horizon "
+        << baseline.numClauses;
 }
 
 TEST(Unroll, MirrorsCountersIntoTheMetricsRegistry) {
@@ -347,7 +331,7 @@ TEST(Unroll, MirrorsCountersIntoTheMetricsRegistry) {
     const studies::CaseStudy study = studies::runningExample();
     const Instance open(study.network, study.trains, study.openSchedule,
                         study.resolution);
-    const auto result = optimizeSchedule(open, unrollOptions());
+    const auto result = optimizeSchedule(open, taskOptions());
     ASSERT_TRUE(result.feasible);
     EXPECT_GE(registry.counter("etcs.unroll.probes").value(),
               probesBefore + static_cast<std::uint64_t>(result.stats.unrollProbes));

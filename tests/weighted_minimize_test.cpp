@@ -133,7 +133,7 @@ TEST(ScopedMinimize, AlwaysAssumeAppliesToIndexSearch) {
     backend->addClause({~scope, ~y[2]});  // scope -> indices <= 2 infeasible
     const Literal scopeArr[] = {scope};
     const auto scoped = smallestFeasibleIndex(
-        *backend, [&](int t) { return y[t]; }, 0, 5, SearchStrategy::Binary, scopeArr);
+        *backend, [&](int t) { return y[t]; }, 0, 5, scopeArr);
     ASSERT_TRUE(scoped.feasible);
     EXPECT_EQ(scoped.index, 3);
     const auto unscoped =
