@@ -2,7 +2,6 @@
 /// Ablation A1 (our addition, see DESIGN.md): how encoding choices affect
 /// the ETCS instances --
 ///   * at-most-one encodings on the chain-selector groups,
-///   * optimization search strategies for the border minimization,
 ///   * totalizer vs sequential-counter cardinality bounds.
 #include <benchmark/benchmark.h>
 
@@ -17,11 +16,6 @@ namespace {
 
 const studies::CaseStudy& running() {
     static const auto study = studies::runningExample();
-    return study;
-}
-
-const studies::CaseStudy& simple() {
-    static const auto study = studies::simpleLayout();
     return study;
 }
 
@@ -49,31 +43,6 @@ BENCHMARK(BM_GenerationAmoEncoding)
     ->Arg(static_cast<int>(cnf::AmoEncoding::Sequential))
     ->Arg(static_cast<int>(cnf::AmoEncoding::Commander))
     ->Arg(static_cast<int>(cnf::AmoEncoding::Product))
-    ->Unit(benchmark::kMillisecond);
-
-void BM_BorderSearchStrategy(benchmark::State& state) {
-    const auto& study = simple();
-    const core::Instance instance(study.network, study.trains, study.timedSchedule,
-                                  study.resolution);
-    const auto strategy = static_cast<opt::SearchStrategy>(state.range(0));
-    core::TaskOptions options;
-    options.borderSearch = strategy;
-    std::uint64_t solves = 0;
-    for (auto _ : state) {
-        const auto result = core::generateLayout(instance, options);
-        benchmark::DoNotOptimize(result.sectionCount);
-        solves = result.stats.solveCalls;
-        if (!result.feasible) {
-            state.SkipWithError("generation unexpectedly infeasible");
-        }
-    }
-    state.SetLabel(std::string(opt::toString(strategy)));
-    state.counters["solves"] = static_cast<double>(solves);
-}
-BENCHMARK(BM_BorderSearchStrategy)
-    ->Arg(static_cast<int>(opt::SearchStrategy::LinearDown))
-    ->Arg(static_cast<int>(opt::SearchStrategy::LinearUp))
-    ->Arg(static_cast<int>(opt::SearchStrategy::Binary))
     ->Unit(benchmark::kMillisecond);
 
 /// Totalizer (reusable, assumption-driven) vs sequential counter (one-shot):

@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "cnf/cardinality.hpp"
+#include "opt/minimize.hpp"
 
 namespace etcs::core {
 
@@ -148,11 +149,11 @@ GenerationResult generateLayoutWeighted(const Instance& instance,
         }
     }
 
-    const auto minimized =
-        opt::minimizeWeightedTrueLiterals(*backend, soft, weights, options.borderSearch);
-    result.stats.solveCalls = minimized.solveCalls;
-    result.feasible = minimized.feasible;
+    result.stats.solveCalls = 1;
+    result.feasible = backend->solve() == cnf::SolveStatus::Sat;
     if (result.feasible) {
+        result.stats.solveCalls +=
+            opt::minimizeWeightedTrueLiterals(*backend, soft, weights).solveCalls;
         result.solution = encoder.decode();
         result.sectionCount = result.solution->sectionCount;
     }

@@ -8,6 +8,7 @@
 #include "lint/rail_lint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "opt/minimize.hpp"
 
 namespace etcs::core {
 
@@ -249,20 +250,18 @@ GenerationResult generateLayout(const Instance& instance, const TaskOptions& opt
     recordUnroll(result.stats, out);
     result.feasible = out.status == cnf::SolveStatus::Sat;
     if (result.feasible && options.minimizeSections) {
-        // Minimize borders inside the SAT prefix: completion by the prefix's
-        // last step is objective-preserving for a fully timed schedule
-        // (docs/UNROLLING.md), so the assumption scopes the search without
-        // changing the optimum.
+        // Minimize borders inside the SAT prefix, starting from the probe's
+        // model: completion by the prefix's last step is objective-preserving
+        // for a fully timed schedule (docs/UNROLLING.md), so the assumption
+        // scopes the search without changing the optimum.
         std::vector<cnf::Literal> always;
         if (out.assumed) {
             always.push_back(encoder.doneAllLiteral(out.horizon - 1));
         }
         const obs::Span minimizeSpan("minimize.borders");
-        const auto minimized = opt::minimizeTrueLiterals(
-            *backend, encoder.freeBorderLiterals(), options.borderSearch, {}, always);
-        result.stats.solveCalls += minimized.solveCalls;
-        ETCS_REQUIRE_MSG(minimized.feasible,
-                         "border minimization must stay feasible at the SAT prefix");
+        result.stats.solveCalls +=
+            opt::minimizeTrueLiterals(*backend, encoder.freeBorderLiterals(), always)
+                .solveCalls;
     }
     if (result.feasible) {
         result.solution = encoder.decode();
@@ -330,18 +329,16 @@ OptimizationResult optimizeImpl(const Instance& instance, const VssLayout* fixed
 
     if (options.lexicographicSections && fixedLayout == nullptr) {
         // Freeze the optimal completion time (and the prefix guard, when one
-        // is active), then minimize virtual borders.
+        // is active), then minimize virtual borders starting from the
+        // optimal probe's model, which satisfies both units.
         const obs::Span minimizeSpan("minimize.borders");
         const cnf::Literal guard = encoder.horizonGuardLiteral();
         if (guard.valid()) {
             backend->addUnit(guard);
         }
         backend->addUnit(encoder.doneAllLiteral(result.completionSteps));
-        const auto minimized = opt::minimizeTrueLiterals(
-            *backend, encoder.freeBorderLiterals(), options.borderSearch);
-        result.stats.solveCalls += minimized.solveCalls;
-        ETCS_REQUIRE_MSG(minimized.feasible,
-                         "border minimization must stay feasible at the optimal time");
+        result.stats.solveCalls +=
+            opt::minimizeTrueLiterals(*backend, encoder.freeBorderLiterals()).solveCalls;
     }
 
     result.solution = encoder.decode();

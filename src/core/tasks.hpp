@@ -23,13 +23,11 @@
 #include "core/encoder.hpp"
 #include "core/instance.hpp"
 #include "core/layout.hpp"
-#include "opt/minimize.hpp"
 
 namespace etcs::core {
 
 struct TaskOptions {
     EncoderOptions encoder;
-    opt::SearchStrategy borderSearch = opt::SearchStrategy::LinearDown;
     /// Generation: minimize the number of virtual borders (paper's
     /// min sum border_v). When false, any feasible layout is returned.
     bool minimizeSections = true;

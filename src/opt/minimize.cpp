@@ -1,7 +1,6 @@
 #include "opt/minimize.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <string>
 
 #include "cnf/cardinality.hpp"
@@ -48,35 +47,22 @@ int weightedCount(const SatBackend& backend, std::span<const Literal> lits,
     return count;
 }
 
-/// Shared search core: minimize the weighted count of true soft literals.
-/// `weights` may be empty (all ones).
+/// Shared search core: minimize the weighted count of true soft literals by
+/// bisection, starting from the backend's most recent satisfying model.
+/// `weights` may be empty (all ones). Invariant: `hi` is the count of the
+/// most recent satisfying model and every bound below `lo` is refuted, so
+/// when the loop ends that model already witnesses the result.
 MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
-                            std::span<const int> weights, SearchStrategy strategy,
-                            const std::function<void(int)>& onImproved,
+                            std::span<const int> weights,
                             std::span<const Literal> alwaysAssume) {
     const obs::Span span("opt.minimize");
     MinimizeResult result;
-    std::vector<Literal> assumptions(alwaysAssume.begin(), alwaysAssume.end());
-
     if (soft.empty()) {
-        ++result.solveCalls;
-        result.feasible = backend.solve(assumptions) == SolveStatus::Sat;
         return result;
     }
-
-    // First solve establishes feasibility and the initial incumbent.
-    ++result.solveCalls;
-    if (backend.solve(assumptions) != SolveStatus::Sat) {
-        return result;
-    }
-    result.feasible = true;
-    int incumbent = weightedCount(backend, soft, weights);
-    recordIncumbent(incumbent);
-    if (onImproved) {
-        onImproved(incumbent);
-    }
-    if (incumbent == 0) {
-        result.optimum = 0;
+    int hi = weightedCount(backend, soft, weights);
+    recordIncumbent(hi);
+    if (hi == 0) {
         return result;
     }
 
@@ -92,104 +78,45 @@ MinimizeResult minimizeImpl(SatBackend& backend, std::span<const Literal> soft,
         }
     }
     const Totalizer totalizer(backend, totalizerInputs);
-    const int maxTotal = static_cast<int>(totalizerInputs.size());
 
-    auto solveAtMost = [&](int k) {
+    std::vector<Literal> assumptions(alwaysAssume.begin(), alwaysAssume.end());
+    int lo = 0;
+    while (lo < hi) {
+        const int mid = lo + (hi - lo) / 2;
         ++result.solveCalls;
         assumptions.resize(alwaysAssume.size());
-        assumptions.push_back(totalizer.atMostAssumption(static_cast<std::size_t>(k)));
-        const bool sat = backend.solve(assumptions) == SolveStatus::Sat;
-        recordBoundProbe("opt.tighten_bound", k, sat);
-        if (sat) {
-            recordIncumbent(weightedCount(backend, soft, weights));
-        }
-        return sat;
-    };
-
-    switch (strategy) {
-        case SearchStrategy::LinearDown: {
-            while (incumbent > 0 && solveAtMost(incumbent - 1)) {
-                incumbent = weightedCount(backend, soft, weights);
-                if (onImproved) {
-                    onImproved(incumbent);
-                }
-            }
-            break;
-        }
-        case SearchStrategy::LinearUp: {
-            int bound = 0;
-            while (bound < incumbent && !solveAtMost(bound)) {
-                ++bound;
-            }
-            incumbent = (bound < incumbent) ? weightedCount(backend, soft, weights) : incumbent;
-            if (onImproved) {
-                onImproved(incumbent);
-            }
-            break;
-        }
-        case SearchStrategy::Binary: {
-            int lo = 0;
-            int hi = incumbent;  // hi is always feasible
-            while (lo < hi) {
-                const int mid = lo + (hi - lo) / 2;
-                if (solveAtMost(mid)) {
-                    hi = weightedCount(backend, soft, weights);
-                    if (onImproved) {
-                        onImproved(hi);
-                    }
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            incumbent = lo;
-            break;
+        assumptions.push_back(totalizer.atMostAssumption(static_cast<std::size_t>(mid)));
+        const SolveStatus status = backend.solve(assumptions);
+        recordBoundProbe("opt.tighten_bound", mid, status == SolveStatus::Sat);
+        if (status == SolveStatus::Sat) {
+            hi = weightedCount(backend, soft, weights);
+            recordIncumbent(hi);
+        } else if (status == SolveStatus::Unsat) {
+            lo = mid + 1;
+        } else {
+            break;  // cancelled: the incumbent's model is still the latest
         }
     }
-    result.optimum = incumbent;
-
-    // Leave the backend's model at an optimal assignment. (The last solve of
-    // the search may have been UNSAT, which clobbers no model, but be
-    // explicit so callers can always decode right after return.)
-    bool ok = false;
-    if (incumbent < maxTotal) {
-        ok = solveAtMost(incumbent);
-    } else {
-        ++result.solveCalls;
-        assumptions.resize(alwaysAssume.size());
-        ok = backend.solve(assumptions) == SolveStatus::Sat;
-    }
-    ETCS_REQUIRE_MSG(ok, "optimal bound must be satisfiable");
+    result.optimum = hi;
     return result;
 }
 
 }  // namespace
 
-std::string_view toString(SearchStrategy strategy) {
-    switch (strategy) {
-        case SearchStrategy::LinearDown: return "linear-down";
-        case SearchStrategy::LinearUp: return "linear-up";
-        case SearchStrategy::Binary: return "binary";
-    }
-    return "unknown";
-}
-
 MinimizeResult minimizeTrueLiterals(SatBackend& backend, std::span<const Literal> soft,
-                                    SearchStrategy strategy,
-                                    const std::function<void(int)>& onImproved,
                                     std::span<const Literal> alwaysAssume) {
-    return minimizeImpl(backend, soft, {}, strategy, onImproved, alwaysAssume);
+    return minimizeImpl(backend, soft, {}, alwaysAssume);
 }
 
 MinimizeResult minimizeWeightedTrueLiterals(SatBackend& backend,
                                             std::span<const Literal> soft,
                                             std::span<const int> weights,
-                                            SearchStrategy strategy,
                                             std::span<const Literal> alwaysAssume) {
     ETCS_REQUIRE_MSG(weights.size() == soft.size(),
                      "one weight per soft literal required");
     ETCS_REQUIRE_MSG(std::all_of(weights.begin(), weights.end(), [](int w) { return w > 0; }),
                      "weights must be positive");
-    return minimizeImpl(backend, soft, weights, strategy, {}, alwaysAssume);
+    return minimizeImpl(backend, soft, weights, alwaysAssume);
 }
 
 IndexSearchResult smallestFeasibleIndex(SatBackend& backend,
@@ -199,39 +126,35 @@ IndexSearchResult smallestFeasibleIndex(SatBackend& backend,
     const obs::Span span("opt.index_search");
     IndexSearchResult result;
     std::vector<Literal> assumptions(alwaysAssume.begin(), alwaysAssume.end());
-    bool lastProbeSat = false;
-    auto feasible = [&](int t) {
+    auto probe = [&](int t) {
         ++result.solveCalls;
         assumptions.resize(alwaysAssume.size());
         assumptions.push_back(literalAt(t));
-        lastProbeSat = backend.solve(assumptions) == SolveStatus::Sat;
-        recordBoundProbe("opt.probe_index", t, lastProbeSat);
-        return lastProbeSat;
+        const SolveStatus status = backend.solve(assumptions);
+        recordBoundProbe("opt.probe_index", t, status == SolveStatus::Sat);
+        return status;
     };
 
-    // Establish feasibility at hi first (monotone upper end).
-    if (!feasible(hi)) {
+    // Establish feasibility at hi first (monotone upper end). From here on
+    // the most recent satisfying model is always the one at feasibleHi.
+    if (probe(hi) != SolveStatus::Sat) {
         return result;
     }
     int feasibleHi = hi;
     int infeasibleLo = lo - 1;
     while (infeasibleLo + 1 < feasibleHi) {
         const int mid = infeasibleLo + (feasibleHi - infeasibleLo) / 2;
-        if (feasible(mid)) {
+        const SolveStatus status = probe(mid);
+        if (status == SolveStatus::Sat) {
             feasibleHi = mid;
-        } else {
+        } else if (status == SolveStatus::Unsat) {
             infeasibleLo = mid;
+        } else {
+            break;  // cancelled: keep the smallest index proven feasible
         }
     }
     result.feasible = true;
     result.index = feasibleHi;
-    if (!lastProbeSat) {
-        // The last probe was the UNSAT one just below the optimum: re-solve
-        // at the optimum so the backend's model matches the returned index.
-        // A SAT last probe always was the optimum, sparing that call.
-        const bool ok = feasible(result.index);
-        ETCS_REQUIRE_MSG(ok, "optimal index must remain satisfiable");
-    }
     return result;
 }
 

@@ -1,21 +1,23 @@
 /// \file minimize.hpp
 /// Objective minimization on top of incremental SAT.
 ///
-/// Two primitives over the paper's objective functions (Sec. III-C):
+/// Two primitives over the paper's objective functions (Sec. III-C), both
+/// bisections on a warm backend:
 ///   * minimizeTrueLiterals  — min sum of Boolean "soft" literals
-///                             (used for  min Σ border_v),
+///                             (used for  min Σ border_v), continuing from
+///                             the satisfying model the caller already holds,
 ///   * smallestFeasibleIndex — min index t such that a monotone family of
 ///                             literals can hold (used by core/analysis for
 ///                             per-budget and per-train completion times; the
 ///                             tasks find the completion time by horizon
 ///                             unrolling instead).
+/// Neither repeats a solve whose answer it already knows: each leaves the
+/// backend's most recent satisfying model at the witness of its result.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "cnf/backend.hpp"
@@ -25,31 +27,23 @@ namespace etcs::opt {
 using cnf::Literal;
 using cnf::SatBackend;
 
-enum class SearchStrategy {
-    LinearDown,  ///< SAT -> tighten bound below the incumbent until UNSAT.
-    LinearUp,    ///< UNSAT -> relax bound upward until SAT.
-    Binary,      ///< bisection between 0 and the incumbent.
-};
-
-[[nodiscard]] std::string_view toString(SearchStrategy strategy);
-
-/// Outcome of a minimization run. When feasible, the backend's model is left
-/// at an optimal assignment (callers decode directly from the backend).
+/// Outcome of a minimization run. The backend's most recent satisfying model
+/// is a witness of `optimum` (callers decode directly from the backend).
 struct MinimizeResult {
-    bool feasible = false;       ///< false: hard constraints are unsatisfiable.
-    int optimum = 0;             ///< minimum number of true soft literals.
+    int optimum = 0;  ///< fewest true soft literals found (weighted: least weight)
     std::uint64_t solveCalls = 0;
 };
 
 /// Minimize the number of true literals among `soft` subject to the clauses
-/// already in `backend`.  Builds one totalizer over `soft` and then tightens
-/// the bound with assumption literals only, so the backend stays reusable.
-/// `onImproved` (optional) is invoked with every improved incumbent.
-/// `alwaysAssume` (optional) literals are assumed on every solve, which lets
-/// callers scope the minimization (e.g. "given completion by step T").
+/// already in `backend`, starting from the backend's most recent satisfying
+/// model, which must satisfy `alwaysAssume` (typically the caller's feasibility
+/// probe under those assumptions). Builds one totalizer over `soft` and
+/// bisects between 0 and the incumbent with assumption literals only, so the
+/// backend stays reusable. `alwaysAssume` literals are assumed on every
+/// probe, which lets callers scope the minimization (e.g. "given completion
+/// by step T"). A probe that comes back Unknown (cancelled) ends the search:
+/// `optimum` is then the best incumbent found, not a proven minimum.
 MinimizeResult minimizeTrueLiterals(SatBackend& backend, std::span<const Literal> soft,
-                                    SearchStrategy strategy = SearchStrategy::LinearDown,
-                                    const std::function<void(int)>& onImproved = {},
                                     std::span<const Literal> alwaysAssume = {});
 
 /// Weighted variant: minimize sum(weight_i * soft_i). Weights must be
@@ -58,7 +52,6 @@ MinimizeResult minimizeTrueLiterals(SatBackend& backend, std::span<const Literal
 MinimizeResult minimizeWeightedTrueLiterals(SatBackend& backend,
                                             std::span<const Literal> soft,
                                             std::span<const int> weights,
-                                            SearchStrategy strategy = SearchStrategy::LinearDown,
                                             std::span<const Literal> alwaysAssume = {});
 
 /// Outcome of a monotone feasibility search.
@@ -71,8 +64,10 @@ struct IndexSearchResult {
 /// Find the smallest index t in [lo, hi] such that solve({literalAt(t)}) is
 /// SAT, by bisection.  Requires monotonicity: if t is feasible then every
 /// t' > t is feasible (the paper's done^t literals satisfy this by
-/// construction). Leaves the backend's model at the optimal index when
-/// feasible. `alwaysAssume` literals are added to every solve.
+/// construction). When feasible, the backend's most recent satisfying model
+/// is at the returned index. `alwaysAssume` literals are added to every
+/// solve. A probe that comes back Unknown (cancelled) ends the search at the
+/// smallest index proven feasible so far.
 IndexSearchResult smallestFeasibleIndex(SatBackend& backend,
                                         const std::function<Literal(int)>& literalAt, int lo,
                                         int hi, std::span<const Literal> alwaysAssume = {});

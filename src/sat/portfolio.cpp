@@ -363,6 +363,15 @@ void PortfolioSolver::finishSolve(std::span<const Literal> assumptions,
             workers_[static_cast<std::size_t>(winner_)]->solver.conflictCore();
         lastCore_.assign(core.begin(), core.end());
     }
+    // Likewise the model: the next solve picks a new winner (or none, when
+    // cancelled), but the most recent satisfying model must stay readable.
+    if (status == SolveStatus::Sat && winner_ >= 0) {
+        const Solver& solver = workers_[static_cast<std::size_t>(winner_)]->solver;
+        lastModel_.resize(static_cast<std::size_t>(solver.numVariables()));
+        for (Var v = 0; v < solver.numVariables(); ++v) {
+            lastModel_[static_cast<std::size_t>(v)] = solver.modelValue(v);
+        }
+    }
     if (externalProof_ != nullptr && !proofReplayed_ && status == SolveStatus::Unsat &&
         assumptions.empty() && winner_ >= 0) {
         const Worker& worker = *workers_[static_cast<std::size_t>(winner_)];
@@ -421,13 +430,14 @@ SolveStatus PortfolioSolver::solve(std::span<const Literal> assumptions) {
 }
 
 Value PortfolioSolver::modelValue(Var v) const {
-    ETCS_REQUIRE_MSG(winner_ >= 0, "no portfolio verdict available");
-    return workers_[static_cast<std::size_t>(winner_)]->solver.modelValue(v);
+    ETCS_REQUIRE_MSG(v >= 0 && static_cast<std::size_t>(v) < lastModel_.size(),
+                     "no portfolio model available for this variable");
+    return lastModel_[static_cast<std::size_t>(v)];
 }
 
 Value PortfolioSolver::modelValue(Literal l) const {
-    ETCS_REQUIRE_MSG(winner_ >= 0, "no portfolio verdict available");
-    return workers_[static_cast<std::size_t>(winner_)]->solver.modelValue(l);
+    const Value v = modelValue(l.var());
+    return l.sign() ? negate(v) : v;
 }
 
 const std::vector<Literal>& PortfolioSolver::conflictCore() const { return lastCore_; }

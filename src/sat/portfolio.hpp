@@ -102,7 +102,8 @@ struct PortfolioStats {
 
 /// Drop-in parallel replacement for Solver's solve surface (the subset the
 /// backends need): variables and clauses are mirrored into every worker,
-/// solve() races or lock-steps them, and model/core queries go to the winner.
+/// solve() races or lock-steps them, and model/core queries read snapshots
+/// of the winner's.
 class PortfolioSolver {
 public:
     explicit PortfolioSolver(PortfolioOptions options = {});
@@ -128,7 +129,9 @@ public:
     }
     SolveStatus solve() { return solve(std::span<const Literal>{}); }
 
-    /// Model of the winning worker after a Sat verdict.
+    /// Value in the most recent satisfying model: the winner's model,
+    /// snapshotted when its Sat solve finished, so it stays readable after
+    /// later Unsat or cancelled solves (as Solver::modelValue does).
     [[nodiscard]] Value modelValue(Var v) const;
     [[nodiscard]] Value modelValue(Literal l) const;
 
@@ -187,6 +190,7 @@ private:
     ProofWriter* externalProof_ = nullptr;
     bool proofReplayed_ = false;
     std::vector<Literal> lastCore_;  ///< winner's failed-assumption core snapshot
+    std::vector<Value> lastModel_;   ///< winner's model of the latest Sat solve
 
     // Cross-thread coordination (racing mode).
     std::atomic<bool> stop_{false};

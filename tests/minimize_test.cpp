@@ -1,12 +1,13 @@
-// Optimization engine tests: every strategy must find the true optimum (as
-// determined by brute force), and the backend's model must be optimal after
-// return.
+// Optimization engine tests: the border search must find the true optimum
+// (as determined by brute force) from the caller's satisfying model, and the
+// backend's most recent model must witness the optimum after return.
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "cnf/backend.hpp"
 #include "opt/minimize.hpp"
+#include "support/repeat_counting_backend.hpp"
 #include "util/error.hpp"
 
 namespace etcs::opt {
@@ -22,17 +23,22 @@ std::vector<Literal> makeInputs(SatBackend& backend, int n) {
     return inputs;
 }
 
-class StrategyTest : public ::testing::TestWithParam<SearchStrategy> {};
-
-TEST_P(StrategyTest, MinimumOfUnconstrainedSoftLiteralsIsZero) {
-    const auto backend = cnf::makeInternalBackend();
-    const auto soft = makeInputs(*backend, 5);
-    const auto result = minimizeTrueLiterals(*backend, soft, GetParam());
-    ASSERT_TRUE(result.feasible);
-    EXPECT_EQ(result.optimum, 0);
+int trueCount(const SatBackend& backend, std::span<const Literal> lits) {
+    int count = 0;
+    for (Literal l : lits) {
+        count += backend.modelValue(l) ? 1 : 0;
+    }
+    return count;
 }
 
-TEST_P(StrategyTest, CoveringConstraintForcesMinimum) {
+TEST(Minimize, MinimumOfUnconstrainedSoftLiteralsIsZero) {
+    const auto backend = cnf::makeInternalBackend();
+    const auto soft = makeInputs(*backend, 5);
+    ASSERT_EQ(backend->solve(), SolveStatus::Sat);
+    EXPECT_EQ(minimizeTrueLiterals(*backend, soft).optimum, 0);
+}
+
+TEST(Minimize, CoveringConstraintForcesMinimum) {
     // Soft literals must cover three disjoint "demands": x0|x1, x2|x3, x4|x5
     // -> optimum 3.
     const auto backend = cnf::makeInternalBackend();
@@ -40,35 +46,22 @@ TEST_P(StrategyTest, CoveringConstraintForcesMinimum) {
     backend->addClause({soft[0], soft[1]});
     backend->addClause({soft[2], soft[3]});
     backend->addClause({soft[4], soft[5]});
-    const auto result = minimizeTrueLiterals(*backend, soft, GetParam());
-    ASSERT_TRUE(result.feasible);
+    ASSERT_EQ(backend->solve(), SolveStatus::Sat);
+    const auto result = minimizeTrueLiterals(*backend, soft);
     EXPECT_EQ(result.optimum, 3);
     // The backend's model must realize the optimum.
-    int count = 0;
-    for (Literal l : soft) {
-        count += backend->modelValue(l) ? 1 : 0;
-    }
-    EXPECT_EQ(count, 3);
+    EXPECT_EQ(trueCount(*backend, soft), 3);
 }
 
-TEST_P(StrategyTest, InfeasibleHardClausesReported) {
-    const auto backend = cnf::makeInternalBackend();
-    const auto soft = makeInputs(*backend, 3);
-    backend->addClause({soft[0]});
-    backend->addClause({~soft[0]});
-    const auto result = minimizeTrueLiterals(*backend, soft, GetParam());
-    EXPECT_FALSE(result.feasible);
-}
-
-TEST_P(StrategyTest, EmptySoftSetIsPlainSolve) {
+TEST(Minimize, EmptySoftSetNeedsNoSolve) {
     const auto backend = cnf::makeInternalBackend();
     makeInputs(*backend, 2);
-    const auto result = minimizeTrueLiterals(*backend, {}, GetParam());
-    EXPECT_TRUE(result.feasible);
+    const auto result = minimizeTrueLiterals(*backend, {});
     EXPECT_EQ(result.optimum, 0);
+    EXPECT_EQ(result.solveCalls, 0U);
 }
 
-TEST_P(StrategyTest, RandomInstancesMatchBruteForce) {
+TEST(Minimize, RandomInstancesMatchBruteForce) {
     std::mt19937 rng(77);
     for (int round = 0; round < 8; ++round) {
         // Random 3-clauses over 8 soft variables.
@@ -116,32 +109,68 @@ TEST_P(StrategyTest, RandomInstancesMatchBruteForce) {
             }
         }
 
-        const auto result = minimizeTrueLiterals(*backend, soft, GetParam());
-        ASSERT_EQ(result.feasible, best >= 0) << "round " << round;
-        if (best >= 0) {
+        const bool feasible = backend->solve() == SolveStatus::Sat;
+        ASSERT_EQ(feasible, best >= 0) << "round " << round;
+        if (feasible) {
+            const auto result = minimizeTrueLiterals(*backend, soft);
             EXPECT_EQ(result.optimum, best) << "round " << round;
+            EXPECT_EQ(trueCount(*backend, soft), best) << "round " << round;
         }
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllStrategies, StrategyTest,
-                         ::testing::Values(SearchStrategy::LinearDown,
-                                           SearchStrategy::LinearUp, SearchStrategy::Binary),
-                         [](const ::testing::TestParamInfo<SearchStrategy>& info) {
-                             std::string name(toString(info.param));
-                             for (char& c : name) {
-                                 if (c == '-') {
-                                     c = '_';
-                                 }
-                             }
-                             return name;
-                         });
+/// The search continues from the caller's model (here a deliberately poor
+/// one, at least 6 true against an optimum of 4) and never repeats a solve
+/// it knows the answer to: no opening re-solve, no closing re-solve.
+TEST(Minimize, NeverRepeatsASolve) {
+    test::SolveTally tally;
+    test::RepeatCountingBackend backend(cnf::makeInternalBackend(), tally);
+    const auto soft = makeInputs(backend, 12);
+    for (int i = 0; i < 4; ++i) {
+        backend.addClause({soft[3 * i], soft[3 * i + 1], soft[3 * i + 2]});
+    }
+    const Literal everyOther[] = {soft[0], soft[3], soft[6], soft[9], soft[1], soft[4]};
+    ASSERT_EQ(backend.solve(everyOther), SolveStatus::Sat);
+    const auto result = minimizeTrueLiterals(backend, soft);
+    EXPECT_EQ(result.optimum, 4);
+    EXPECT_EQ(trueCount(backend, soft), 4);
+    EXPECT_EQ(tally.solves, result.solveCalls + 1);
+    EXPECT_EQ(tally.repeats, 0U);
+}
 
-/// Bisection is the only index search; the suite keeps its parameterized
-/// shape so the test names stay `AllStrategies/IndexSearchTest.*/binary`.
-class IndexSearchTest : public ::testing::TestWithParam<SearchStrategy> {};
+/// Cancels every solve from the `cancelFrom`-th call on, as a progress hook
+/// that returns false does.
+class CancellingBackend final : public test::ForwardingBackend {
+public:
+    CancellingBackend(std::unique_ptr<SatBackend> inner, int cancelFrom)
+        : ForwardingBackend(std::move(inner)), cancelFrom_(cancelFrom) {}
 
-TEST_P(IndexSearchTest, FindsSmallestFeasibleIndex) {
+    using ForwardingBackend::solve;
+
+    SolveStatus solve(std::span<const Literal> assumptions) override {
+        return ++calls_ >= cancelFrom_ ? SolveStatus::Unknown
+                                       : ForwardingBackend::solve(assumptions);
+    }
+
+private:
+    int cancelFrom_;
+    int calls_ = 0;
+};
+
+TEST(Minimize, CancelledProbeKeepsTheIncumbentAndItsModel) {
+    // Six free soft literals forced true by the opening solve: incumbent 6.
+    // The first bound probe is cancelled, so the search ends with the
+    // incumbent, whose model is still the backend's latest.
+    CancellingBackend backend(cnf::makeInternalBackend(), 2);
+    const auto soft = makeInputs(backend, 6);
+    ASSERT_EQ(backend.solve(soft), SolveStatus::Sat);
+    const auto result = minimizeTrueLiterals(backend, soft);
+    EXPECT_EQ(result.optimum, 6);
+    EXPECT_EQ(result.solveCalls, 1U);
+    EXPECT_EQ(trueCount(backend, soft), 6);
+}
+
+TEST(IndexSearch, FindsSmallestFeasibleIndex) {
     // literal(t) is satisfiable iff t >= 5: chain y_t -> y_{t+1} with y_4
     // forced false and y_5 free models a monotone family.
     const auto backend = cnf::makeInternalBackend();
@@ -157,7 +186,7 @@ TEST_P(IndexSearchTest, FindsSmallestFeasibleIndex) {
     EXPECT_TRUE(backend->modelValue(y[5]));
 }
 
-TEST_P(IndexSearchTest, ReportsInfeasibleRange) {
+TEST(IndexSearch, ReportsInfeasibleRange) {
     const auto backend = cnf::makeInternalBackend();
     std::vector<Literal> y = makeInputs(*backend, 4);
     for (Literal l : y) {
@@ -168,7 +197,7 @@ TEST_P(IndexSearchTest, ReportsInfeasibleRange) {
     EXPECT_FALSE(result.feasible);
 }
 
-TEST_P(IndexSearchTest, WholeRangeFeasibleReturnsLowerBound) {
+TEST(IndexSearch, WholeRangeFeasibleReturnsLowerBound) {
     const auto backend = cnf::makeInternalBackend();
     std::vector<Literal> y = makeInputs(*backend, 4);
     const auto result = smallestFeasibleIndex(
@@ -177,22 +206,25 @@ TEST_P(IndexSearchTest, WholeRangeFeasibleReturnsLowerBound) {
     EXPECT_EQ(result.index, 1);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllStrategies, IndexSearchTest,
-                         ::testing::Values(SearchStrategy::Binary),
-                         [](const ::testing::TestParamInfo<SearchStrategy>& info) {
-                             std::string name(toString(info.param));
-                             for (char& c : name) {
-                                 if (c == '-') {
-                                     c = '_';
-                                 }
-                             }
-                             return name;
-                         });
+TEST(IndexSearch, CancelledProbeKeepsTheSmallestProvenIndex) {
+    // Probes 9 (SAT) and 4 (UNSAT), then 6 is cancelled: the search ends at
+    // 9, the smallest index proven feasible, whose model is the latest.
+    CancellingBackend backend(cnf::makeInternalBackend(), 3);
+    std::vector<Literal> y = makeInputs(backend, 10);
+    for (int t = 0; t + 1 < 10; ++t) {
+        backend.addClause({~y[t], y[t + 1]});
+    }
+    backend.addClause({~y[4]});
+    const auto result = smallestFeasibleIndex(backend, [&](int t) { return y[t]; }, 0, 9);
+    ASSERT_TRUE(result.feasible);
+    EXPECT_EQ(result.index, 9);
+    EXPECT_EQ(result.solveCalls, 3U);
+    EXPECT_TRUE(backend.modelValue(y[9]));
+}
 
-/// Regression: smallestFeasibleIndex must not burn a trailing re-solve when
-/// the search's final probe already was the (satisfiable) optimum — while
-/// still re-solving when the last probe was elsewhere, so the backend's
-/// model always matches the returned index.
+/// Regression: smallestFeasibleIndex never burns a trailing re-solve. Its
+/// latest SAT probe is always at the returned index, so the backend's most
+/// recent model matches that index whether the final probe was SAT or UNSAT.
 TEST(Minimize, SkipsRedundantTrailingResolve) {
     const auto makeChain = [](cnf::SatBackend& backend) {
         std::vector<Literal> y = makeInputs(backend, 10);
@@ -217,8 +249,8 @@ TEST(Minimize, SkipsRedundantTrailingResolve) {
     }
     {
         // With t <= 5 infeasible, Binary probes 9, 4, 6, 5 and ends on the
-        // UNSAT probe below the optimum, so the re-solve at 6 is still
-        // required: 5 calls, model at 6.
+        // UNSAT probe below the optimum. The SAT model of the probe at 6 is
+        // still the latest: 4 calls (was 5), model at 6.
         const auto backend = cnf::makeInternalBackend();
         const auto y = makeChain(*backend);
         backend->addClause({~y[5]});
@@ -226,7 +258,7 @@ TEST(Minimize, SkipsRedundantTrailingResolve) {
             *backend, [&](int t) { return y[t]; }, 0, 9);
         ASSERT_TRUE(result.feasible);
         EXPECT_EQ(result.index, 6);
-        EXPECT_EQ(result.solveCalls, 5U);
+        EXPECT_EQ(result.solveCalls, 4U);
         EXPECT_TRUE(backend->modelValue(y[6]));
     }
 }

@@ -569,6 +569,51 @@ TEST(PortfolioAssumptions, WinnerCoreIsSnapshottedAndNonEmpty) {
     EXPECT_TRUE(portfolio.conflictCore().empty());
 }
 
+// Regression: modelValue used to read the model of the *current* winner, so
+// an Unsat solve (another winner) or a cancelled one (no winner at all) lost
+// the most recent satisfying model that SatBackend::modelValue promises.
+// Callers such as the border search decode it after later probes fail.
+TEST(PortfolioAssumptions, ModelSurvivesUnsatAndCancelledSolves) {
+    // PHP(8,7) behind selector s (hard only under s), plus (x | y).
+    const CnfFormula php = pigeonhole(8, 7);
+    const Var s = php.numVariables;
+    const Var x = s + 1;
+    const Var y = s + 2;
+    for (const bool deterministic : {false, true}) {
+        SCOPED_TRACE(deterministic ? "deterministic" : "racing");
+        PortfolioOptions options;
+        options.numThreads = 2;
+        options.deterministic = deterministic;
+        options.epochConflicts = 16;
+        options.cancelCheckConflicts = 1;
+        options.progressInterval = 1;
+        PortfolioSolver portfolio(options);
+        for (Var v = 0; v <= y; ++v) {
+            portfolio.addVariable();
+        }
+        for (auto clause : php.clauses) {
+            clause.push_back(Literal::negative(s));
+            portfolio.addClause(clause);
+        }
+        portfolio.addClause({Literal::positive(x), Literal::positive(y)});
+
+        const auto expectFirstModel = [&] {
+            EXPECT_EQ(portfolio.modelValue(Literal::negative(s)), Value::True);
+            EXPECT_EQ(portfolio.modelValue(Literal::positive(x)), Value::True);
+        };
+        ASSERT_EQ(portfolio.solve({Literal::negative(s), Literal::positive(x)}),
+                  SolveStatus::Sat);
+        expectFirstModel();
+        ASSERT_EQ(portfolio.solve({Literal::negative(s), Literal::negative(x),
+                                   Literal::negative(y)}),
+                  SolveStatus::Unsat);
+        expectFirstModel();
+        portfolio.options().onProgress = [](const SolverProgress&) { return false; };
+        ASSERT_EQ(portfolio.solve({Literal::positive(s)}), SolveStatus::Unknown);
+        expectFirstModel();
+    }
+}
+
 TEST(PortfolioBackend, ExposesTheCoreAndRecordsItsSize) {
     const auto backend = cnf::makePortfolioBackend(2);
     for (int v = 0; v < 2; ++v) {

@@ -2,9 +2,14 @@
 // of the paper's Table I.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <optional>
+
 #include "core/tasks.hpp"
 #include "core/validator.hpp"
 #include "studies/studies.hpp"
+#include "support/repeat_counting_backend.hpp"
 
 namespace etcs::core {
 namespace {
@@ -79,6 +84,82 @@ TEST(Studies, RunningExampleOptimizationImprovesArrivals) {
         originalLatest = std::max(originalLatest, *run.destination().arrivalStep);
     }
     EXPECT_LT(optimization.completionSteps - 1, originalLatest);
+}
+
+/// The border search continues from the unroll probe's model and never
+/// re-asks a question whose answer is known: no solve repeats an assumption
+/// set already answered SAT with no clause added since.
+TEST(Studies, TasksNeverRepeatASolve) {
+    for (const auto make : {&studies::runningExample, &studies::simpleLayout,
+                            &studies::complexLayout, &studies::nordlandsbanen}) {
+        const studies::CaseStudy study = make();
+        SCOPED_TRACE(study.name);
+        test::SolveTally tally;
+        TaskOptions options;
+        options.backendFactory = test::repeatCountingFactory(tally);
+        const Instance timed(study.network, study.trains, study.timedSchedule,
+                             study.resolution);
+        const Instance open(study.network, study.trains, study.openSchedule,
+                            study.resolution);
+        ASSERT_TRUE(generateLayout(timed, options).feasible);
+        ASSERT_TRUE(optimizeSchedule(open, options).feasible);
+        EXPECT_GT(tally.solves, 0U);
+        EXPECT_EQ(tally.repeats, 0U);
+    }
+}
+
+/// Regression: cancelling generation or optimization at any point, border
+/// minimization included, must not throw, and whatever solution the task
+/// still returns must validate. The cancellation budgets (progress callbacks
+/// at a 1-conflict interval) are spread over the callback count of one
+/// uncancelled run, so they keep hitting every phase if the search changes.
+/// The two-worker portfolio runs without its solo-probe gate (with the gate,
+/// worker 0 alone decides every solve here, without the hook) and polls the
+/// hook at every conflict.
+TEST(Studies, CancellingComplexLayoutTasksNeverThrows) {
+    const studies::CaseStudy study = studies::complexLayout();
+    const Instance timed(study.network, study.trains, study.timedSchedule, study.resolution);
+    const Instance open(study.network, study.trains, study.openSchedule, study.resolution);
+    constexpr std::uint64_t kBudgets = 20;
+    for (const int threads : {1, 2}) {
+        for (const bool optimize : {false, true}) {
+            const Instance& instance = optimize ? open : timed;
+            // Runs the task cancelled after `budget` callbacks; returns the
+            // callbacks it saw and the solution it reported, if any.
+            const auto run = [&](std::uint64_t budget) {
+                std::uint64_t calls = 0;
+                TaskOptions options;
+                if (threads > 1) {
+                    options.backendFactory = [threads] {
+                        sat::PortfolioOptions portfolio;
+                        portfolio.numThreads = threads;
+                        portfolio.cancelCheckConflicts = 1;  // hook at every conflict
+                        return cnf::makePortfolioBackend(portfolio);
+                    };
+                }
+                options.progressIntervalConflicts = 1;
+                options.progress = [&calls, budget](const sat::SolverProgress&) {
+                    return ++calls <= budget;
+                };
+                std::optional<Solution> solution =
+                    optimize ? optimizeSchedule(instance, options).solution
+                             : generateLayout(instance, options).solution;
+                return std::make_pair(calls, std::move(solution));
+            };
+            const std::uint64_t total = run(std::numeric_limits<std::uint64_t>::max()).first;
+            ASSERT_GT(total, kBudgets) << "threads " << threads << " optimize " << optimize;
+            for (std::uint64_t i = 0; i < kBudgets; ++i) {
+                const std::uint64_t budget = 1 + i * total / kBudgets;
+                SCOPED_TRACE(testing::Message() << "threads " << threads << " optimize "
+                                                << optimize << " budget " << budget);
+                std::optional<Solution> solution;
+                ASSERT_NO_THROW(solution = run(budget).second);
+                if (solution) {
+                    EXPECT_TRUE(validateSolution(instance, *solution).empty());
+                }
+            }
+        }
+    }
 }
 
 TEST(Studies, NordlandsbanenHas58StationsAnd822Km) {

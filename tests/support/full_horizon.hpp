@@ -1,15 +1,13 @@
 /// \file full_horizon.hpp
 /// A full-horizon reference for the three tasks, built only from library
 /// primitives: one `Encoder::encode` over every time step, then a plain
-/// solve (verify), `opt::minimizeTrueLiterals` over the free borders
-/// (generate), or `opt::smallestFeasibleIndex` over the done-all selectors
-/// followed by border minimization at the optimum (optimize). The tasks
+/// solve (verify), a solve followed by `opt::minimizeTrueLiterals` over the
+/// free borders (generate), or `opt::smallestFeasibleIndex` over the done-all
+/// selectors followed by border minimization at the optimum (optimize). The tasks
 /// themselves solve by horizon unrolling (docs/UNROLLING.md); unroll_test and
 /// gen_fuzz_test check their verdicts, section counts and completion steps
 /// against this reference.
 #pragma once
-
-#include <gtest/gtest.h>
 
 #include <cstddef>
 #include <optional>
@@ -62,9 +60,11 @@ inline FullHorizonResult fullHorizonGenerate(const core::Instance& instance) {
     const auto backend = cnf::makeInternalBackend();
     core::Encoder encoder(*backend, instance);
     encoder.encode(nullptr);
-    const auto minimized =
+    const bool feasible = backend->solve() == cnf::SolveStatus::Sat;
+    if (feasible) {
         opt::minimizeTrueLiterals(*backend, encoder.freeBorderLiterals());
-    return detail::finish(*backend, encoder, minimized.feasible);
+    }
+    return detail::finish(*backend, encoder, feasible);
 }
 
 /// Task 3 on the full-horizon encoding: bisect the smallest step at which
@@ -85,10 +85,10 @@ inline FullHorizonResult fullHorizonOptimize(const core::Instance& instance,
     const auto search = opt::smallestFeasibleIndex(
         *backend, [&](int step) { return encoder.doneAllLiteral(step); }, lo, hi);
     if (search.feasible && minimizeSections && fixedLayout == nullptr) {
+        // The index search leaves its model at the optimal step, so the
+        // border search starts from a model of the frozen optimum.
         backend->addUnit(encoder.doneAllLiteral(search.index));
-        const auto minimized =
-            opt::minimizeTrueLiterals(*backend, encoder.freeBorderLiterals());
-        EXPECT_TRUE(minimized.feasible) << "the optimal step must stay feasible";
+        opt::minimizeTrueLiterals(*backend, encoder.freeBorderLiterals());
     }
     FullHorizonResult result = detail::finish(*backend, encoder, search.feasible);
     result.completionSteps = search.index;

@@ -107,21 +107,6 @@ TEST_F(RunningFixture, LexicographicSectionsReduceLayout) {
     EXPECT_LE(with.sectionCount, without.sectionCount);
 }
 
-TEST_F(RunningFixture, SearchStrategiesAgreeOnGeneration) {
-    int sections[3];
-    int i = 0;
-    for (const auto strategy : {opt::SearchStrategy::LinearDown, opt::SearchStrategy::LinearUp,
-                                opt::SearchStrategy::Binary}) {
-        TaskOptions options;
-        options.borderSearch = strategy;
-        const auto result = generateLayout(timed, options);
-        ASSERT_TRUE(result.feasible);
-        sections[i++] = result.sectionCount;
-    }
-    EXPECT_EQ(sections[0], sections[1]);
-    EXPECT_EQ(sections[1], sections[2]);
-}
-
 TEST_F(RunningFixture, AmoEncodingsAgreeOnVerification) {
     for (const auto encoding : {cnf::AmoEncoding::Pairwise, cnf::AmoEncoding::Sequential,
                                 cnf::AmoEncoding::Commander, cnf::AmoEncoding::Product}) {

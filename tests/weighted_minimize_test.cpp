@@ -18,22 +18,20 @@ std::vector<Literal> makeInputs(SatBackend& backend, int n) {
     return inputs;
 }
 
-class WeightedStrategyTest : public ::testing::TestWithParam<SearchStrategy> {};
-
-TEST_P(WeightedStrategyTest, PrefersCheapCover) {
+TEST(WeightedMinimize, PrefersCheapCover) {
     // Demand x0 | x1 with w(x0) = 5, w(x1) = 1 -> optimum 1 via x1.
     const auto backend = cnf::makeInternalBackend();
     const auto soft = makeInputs(*backend, 2);
     backend->addClause({soft[0], soft[1]});
     const int weights[] = {5, 1};
-    const auto result = minimizeWeightedTrueLiterals(*backend, soft, weights, GetParam());
-    ASSERT_TRUE(result.feasible);
+    ASSERT_EQ(backend->solve(), SolveStatus::Sat);
+    const auto result = minimizeWeightedTrueLiterals(*backend, soft, weights);
     EXPECT_EQ(result.optimum, 1);
     EXPECT_FALSE(backend->modelValue(soft[0]));
     EXPECT_TRUE(backend->modelValue(soft[1]));
 }
 
-TEST_P(WeightedStrategyTest, TradesManyCheapForOneExpensive) {
+TEST(WeightedMinimize, TradesManyCheapForOneExpensive) {
     // Force (x0) | (x1 & x2 & x3): x0 costs 4, the trio costs 3.
     const auto backend = cnf::makeInternalBackend();
     const auto soft = makeInputs(*backend, 4);
@@ -41,13 +39,13 @@ TEST_P(WeightedStrategyTest, TradesManyCheapForOneExpensive) {
     backend->addClause({soft[0], soft[2]});
     backend->addClause({soft[0], soft[3]});
     const int weights[] = {4, 1, 1, 1};
-    const auto result = minimizeWeightedTrueLiterals(*backend, soft, weights, GetParam());
-    ASSERT_TRUE(result.feasible);
+    ASSERT_EQ(backend->solve(), SolveStatus::Sat);
+    const auto result = minimizeWeightedTrueLiterals(*backend, soft, weights);
     EXPECT_EQ(result.optimum, 3);
     EXPECT_FALSE(backend->modelValue(soft[0]));
 }
 
-TEST_P(WeightedStrategyTest, MatchesUnweightedWithUnitWeights) {
+TEST(WeightedMinimize, MatchesUnweightedWithUnitWeights) {
     const auto backend1 = cnf::makeInternalBackend();
     const auto backend2 = cnf::makeInternalBackend();
     const auto soft1 = makeInputs(*backend1, 6);
@@ -57,34 +55,12 @@ TEST_P(WeightedStrategyTest, MatchesUnweightedWithUnitWeights) {
         backend2->addClause({soft2[2 * i], soft2[2 * i + 1]});
     }
     const int weights[] = {1, 1, 1, 1, 1, 1};
-    const auto weighted = minimizeWeightedTrueLiterals(*backend1, soft1, weights, GetParam());
-    const auto plain = minimizeTrueLiterals(*backend2, soft2, GetParam());
-    ASSERT_TRUE(weighted.feasible);
-    ASSERT_TRUE(plain.feasible);
+    ASSERT_EQ(backend1->solve(), SolveStatus::Sat);
+    ASSERT_EQ(backend2->solve(), SolveStatus::Sat);
+    const auto weighted = minimizeWeightedTrueLiterals(*backend1, soft1, weights);
+    const auto plain = minimizeTrueLiterals(*backend2, soft2);
     EXPECT_EQ(weighted.optimum, plain.optimum);
 }
-
-TEST_P(WeightedStrategyTest, InfeasibleReported) {
-    const auto backend = cnf::makeInternalBackend();
-    const auto soft = makeInputs(*backend, 2);
-    backend->addClause({soft[0]});
-    backend->addClause({~soft[0]});
-    const int weights[] = {1, 1};
-    EXPECT_FALSE(minimizeWeightedTrueLiterals(*backend, soft, weights, GetParam()).feasible);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllStrategies, WeightedStrategyTest,
-                         ::testing::Values(SearchStrategy::LinearDown,
-                                           SearchStrategy::LinearUp, SearchStrategy::Binary),
-                         [](const ::testing::TestParamInfo<SearchStrategy>& info) {
-                             std::string name(toString(info.param));
-                             for (char& c : name) {
-                                 if (c == '-') {
-                                     c = '_';
-                                 }
-                             }
-                             return name;
-                         });
 
 TEST(WeightedMinimize, RejectsMismatchedWeights) {
     const auto backend = cnf::makeInternalBackend();
@@ -111,14 +87,13 @@ TEST(ScopedMinimize, AlwaysAssumeRestrictsTheSearch) {
     const auto soft = makeInputs(*backend, 2);
     const Literal y = Literal::positive(backend->addVariable());
     backend->addClause({~y, soft[0], soft[1]});
-    const auto unscoped = minimizeTrueLiterals(*backend, soft);
-    ASSERT_TRUE(unscoped.feasible);
-    EXPECT_EQ(unscoped.optimum, 0);
+    ASSERT_EQ(backend->solve(), SolveStatus::Sat);
+    EXPECT_EQ(minimizeTrueLiterals(*backend, soft).optimum, 0);
+    // The scoped search starts from a model of the scope.
     const Literal scope[] = {y};
-    const auto scoped = minimizeTrueLiterals(*backend, soft, SearchStrategy::LinearDown, {},
-                                             scope);
-    ASSERT_TRUE(scoped.feasible);
-    EXPECT_EQ(scoped.optimum, 1);
+    ASSERT_EQ(backend->solve(scope), SolveStatus::Sat);
+    EXPECT_EQ(minimizeTrueLiterals(*backend, soft, scope).optimum, 1);
+    EXPECT_TRUE(backend->modelValue(y));
 }
 
 TEST(ScopedMinimize, AlwaysAssumeAppliesToIndexSearch) {
