@@ -2,13 +2,12 @@
 /// Ablation A2 (our addition, see DESIGN.md): contribution of individual
 /// CDCL solver features -- conflict-clause minimization, restarts, phase
 /// saving -- measured on a representative ETCS instance (the simple-layout
-/// generation formula) and on a classic hard UNSAT family (pigeonhole).
+/// pure-TTD verification formula) and on a classic hard UNSAT family
+/// (pigeonhole).
 #include <benchmark/benchmark.h>
 
 #include "cnf/collect.hpp"
-#include "sat/preprocess.hpp"
 #include "core/encoder.hpp"
-#include "core/tasks.hpp"
 #include "core/instance.hpp"
 #include "sat/solver.hpp"
 #include "studies/studies.hpp"
@@ -108,62 +107,6 @@ void BM_SolverFeaturesOnPigeonhole(benchmark::State& state) {
     state.SetLabel(features.label);
 }
 BENCHMARK(BM_SolverFeaturesOnPigeonhole)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
-
-/// Reachability-cone pruning (DESIGN.md §3): formula size and solve time
-/// with and without the cones, on the running example's generation task.
-void BM_ConePruning(benchmark::State& state) {
-    const bool prune = state.range(0) != 0;
-    const auto study = studies::runningExample();
-    const core::Instance instance(study.network, study.trains, study.timedSchedule,
-                                  study.resolution);
-    core::TaskOptions options;
-    options.encoder.pruneWithCones = prune;
-    int vars = 0;
-    for (auto _ : state) {
-        const auto result = core::generateLayout(instance, options);
-        benchmark::DoNotOptimize(result.feasible);
-        vars = result.stats.numVariables;
-        if (!result.feasible) {
-            state.SkipWithError("generation unexpectedly infeasible");
-        }
-    }
-    state.SetLabel(prune ? "cones" : "no-cones");
-    state.counters["vars"] = vars;
-}
-BENCHMARK(BM_ConePruning)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
-
-/// Preprocessing the ETCS formula before solving: measure the end-to-end
-/// effect (simplification cost + solve on the reduced instance).
-void BM_PreprocessThenSolve(benchmark::State& state) {
-    const bool usePreprocessor = state.range(0) != 0;
-    const auto& collected = etcsFormula();
-    std::size_t clausesAfter = 0;
-    for (auto _ : state) {
-        sat::CnfFormula formula = collected.formula();
-        if (usePreprocessor) {
-            const auto pre = sat::preprocess(formula);
-            if (pre.unsatisfiable) {
-                state.SkipWithError("preprocessor must not decide this instance alone");
-            }
-        }
-        clausesAfter = formula.clauses.size();
-        sat::Solver solver;
-        for (sat::Var v = 0; v < formula.numVariables; ++v) {
-            solver.addVariable();
-        }
-        for (const auto& clause : formula.clauses) {
-            solver.addClause(clause);
-        }
-        const auto status = solver.solve();
-        benchmark::DoNotOptimize(status);
-        if (status != sat::SolveStatus::Unsat) {
-            state.SkipWithError("the pure-TTD simple layout must be UNSAT");
-        }
-    }
-    state.SetLabel(usePreprocessor ? "preprocess+solve" : "solve-only");
-    state.counters["clauses"] = static_cast<double>(clausesAfter);
-}
-BENCHMARK(BM_PreprocessThenSolve)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -2,7 +2,7 @@
 /// Standalone DIMACS front end for the built-in CDCL solver — useful for
 /// exercising the SAT substrate on standard benchmark files.
 ///
-///   sat_solve [--preprocess] [--no-restarts] [--stats] [--explain]
+///   sat_solve [--no-restarts] [--stats] [--explain]
 ///             [--threads N [--deterministic]]
 ///             [--proof FILE [--binary-proof]] [file.cnf]
 ///
@@ -16,9 +16,9 @@
 /// concurrency); --deterministic selects its reproducible lock-step mode.
 /// See docs/PARALLEL.md.
 ///
-/// With --proof FILE, every preprocessing step and solver inference is
-/// logged as a DRAT proof (text by default, binary with --binary-proof);
-/// on UNSAT the file can be validated with `dratcheck file.cnf FILE`.
+/// With --proof FILE, every solver inference is logged as a DRAT proof
+/// (text by default, binary with --binary-proof); on UNSAT the file can be
+/// validated with `dratcheck file.cnf FILE`.
 /// Portfolio proofs are winner-only (clause sharing is disabled while a
 /// proof is attached).
 ///
@@ -37,7 +37,6 @@
 #include "sat/dimacs.hpp"
 #include "sat/drat_check.hpp"
 #include "sat/portfolio.hpp"
-#include "sat/preprocess.hpp"
 #include "sat/proof.hpp"
 #include "sat/solver.hpp"
 #include "util/parse.hpp"
@@ -45,7 +44,6 @@
 using namespace etcs::sat;
 
 int main(int argc, char** argv) {
-    bool runPreprocess = false;
     bool noRestarts = false;
     bool printStats = false;
     bool binaryProof = false;
@@ -55,9 +53,7 @@ int main(int argc, char** argv) {
     const char* proofPath = nullptr;
     const char* path = nullptr;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--preprocess") == 0) {
-            runPreprocess = true;
-        } else if (std::strcmp(argv[i], "--no-restarts") == 0) {
+        if (std::strcmp(argv[i], "--no-restarts") == 0) {
             noRestarts = true;
         } else if (std::strcmp(argv[i], "--stats") == 0) {
             printStats = true;
@@ -78,7 +74,7 @@ int main(int argc, char** argv) {
         } else if (std::strcmp(argv[i], "--proof") == 0 && i + 1 < argc) {
             proofPath = argv[++i];
         } else if (argv[i][0] == '-') {
-            std::cerr << "usage: sat_solve [--preprocess] [--no-restarts] [--stats] "
+            std::cerr << "usage: sat_solve [--no-restarts] [--stats] "
                          "[--explain] [--threads N [--deterministic]] "
                          "[--proof FILE [--binary-proof]] [file.cnf]\n";
             return 2;
@@ -119,61 +115,11 @@ int main(int argc, char** argv) {
         }
 
         // --explain captures the proof in memory so it can be checked
-        // in-process against the original (pre-preprocessing) formula; the
-        // file writer, when present, gets the same proof replayed afterwards.
+        // in-process against the formula; the file writer, when present,
+        // gets the same proof replayed afterwards.
         MemoryProofWriter memoryProof;
-        CnfFormula original;
-        if (explain) {
-            original = formula;
-        }
         ProofWriter* proof =
             explain ? static_cast<ProofWriter*>(&memoryProof) : fileProof.get();
-
-        const auto finishProof = [&] {
-            if (explain && fileProof) {
-                writeDrat(*fileProof, memoryProof.proof());
-            }
-            if (fileProof) {
-                fileProof->flush();
-            }
-        };
-        const auto certifyCore = [&] {
-            const DratCheckResult check = checkDrat(original, memoryProof.proof());
-            if (!check.verified) {
-                std::cout << "c explain: DRAT certification FAILED: " << check.error
-                          << "\n";
-                return;
-            }
-            std::cout << "c explain: certified UNSAT core: "
-                      << check.coreClauseIndices.size() << " of "
-                      << original.clauses.size() << " original clauses ("
-                      << check.stats.verifiedLemmas << " verified lemmas)\n";
-            std::cout << "c core";
-            for (const std::size_t index : check.coreClauseIndices) {
-                std::cout << ' ' << index;
-            }
-            std::cout << "\n";
-        };
-
-        std::vector<Literal> fixed;
-        if (runPreprocess) {
-            const auto pre = preprocess(formula, proof);
-            std::cout << "c preprocess: " << pre.stats.propagatedUnits << " units, "
-                      << pre.stats.eliminatedPureLiterals << " pure, "
-                      << pre.stats.subsumedClauses << " subsumed, "
-                      << pre.stats.strengthenedClauses << " strengthened ("
-                      << pre.stats.rounds << " rounds)\n";
-            if (pre.unsatisfiable) {
-                finishProof();
-                if (explain) {
-                    certifyCore();
-                }
-                std::cout << "s UNSATISFIABLE\n";
-                return 20;
-            }
-            fixed = pre.fixedLiterals;
-            fixed.insert(fixed.end(), pre.pureLiterals.begin(), pre.pureLiterals.end());
-        }
 
         std::unique_ptr<PortfolioSolver> portfolio;
         Solver solver;
@@ -206,7 +152,12 @@ int main(int argc, char** argv) {
             }
             status = solver.solve();
         }
-        finishProof();
+        if (explain && fileProof) {
+            writeDrat(*fileProof, memoryProof.proof());
+        }
+        if (fileProof) {
+            fileProof->flush();
+        }
         if (printStats) {
             const auto& stats = portfolio ? portfolio->solverStats() : solver.stats();
             std::cout << "c decisions " << stats.decisions << ", conflicts "
@@ -222,26 +173,29 @@ int main(int argc, char** argv) {
         }
         if (status == SolveStatus::Unsat) {
             if (explain) {
-                certifyCore();
+                const DratCheckResult check = checkDrat(formula, memoryProof.proof());
+                if (check.verified) {
+                    std::cout << "c explain: certified UNSAT core: "
+                              << check.coreClauseIndices.size() << " of "
+                              << formula.clauses.size() << " original clauses ("
+                              << check.stats.verifiedLemmas << " verified lemmas)\n";
+                    std::cout << "c core";
+                    for (const std::size_t index : check.coreClauseIndices) {
+                        std::cout << ' ' << index;
+                    }
+                    std::cout << "\n";
+                } else {
+                    std::cout << "c explain: DRAT certification FAILED: " << check.error
+                              << "\n";
+                }
             }
             std::cout << "s UNSATISFIABLE\n";
             return 20;
         }
         std::cout << "s SATISFIABLE\nv";
-        // The preprocessor's fixed/pure literals override the reduced
-        // formula's (possibly unconstrained) values.
-        std::vector<Value> model(static_cast<std::size_t>(formula.numVariables));
         for (Var v = 0; v < formula.numVariables; ++v) {
-            model[static_cast<std::size_t>(v)] =
-                portfolio ? portfolio->modelValue(v) : solver.modelValue(v);
-        }
-        for (Literal l : fixed) {
-            model[static_cast<std::size_t>(l.var())] = l.sign() ? Value::False : Value::True;
-        }
-        for (Var v = 0; v < formula.numVariables; ++v) {
-            std::cout << ' '
-                      << (model[static_cast<std::size_t>(v)] == Value::True ? v + 1
-                                                                            : -(v + 1));
+            const Value value = portfolio ? portfolio->modelValue(v) : solver.modelValue(v);
+            std::cout << ' ' << (value == Value::True ? v + 1 : -(v + 1));
         }
         std::cout << " 0\n";
         return 10;

@@ -1,33 +1,27 @@
 /// \file amo.hpp
-/// At-most-one and exactly-one constraint encodings.
-///
-/// Several encodings are provided because their clause/auxiliary-variable
-/// trade-offs differ; `bench/ablation_encodings` compares them on the ETCS
-/// chain-selector groups where they are used.
+/// At-most-one and exactly-one constraints. `addAtMostOne` uses plain
+/// pairwise clauses for groups of three or fewer and the Sinz sequential
+/// ladder (3n-4 clauses, n-1 auxiliaries) above that. The encoder uses it for
+/// the C1 chain-selector groups.
 #pragma once
 
 #include <span>
-#include <string_view>
 
 #include "cnf/backend.hpp"
 
 namespace etcs::cnf {
 
-enum class AmoEncoding {
-    Pairwise,    ///< O(n^2) clauses, no auxiliaries; best for tiny groups.
-    Sequential,  ///< Sinz commander chain: 3n clauses, n auxiliaries.
-    Commander,   ///< recursive group commanders (group size 3).
-    Product,     ///< 2D product encoding (rows x columns).
-};
+/// At most one of `literals` is true: one binary clause per pair, no auxiliaries.
+void addPairwiseAtMostOne(SatBackend& backend, std::span<const Literal> literals);
 
-[[nodiscard]] std::string_view toString(AmoEncoding encoding);
+/// At most one of `literals` is true: the Sinz sequential ladder.
+void addSequentialAtMostOne(SatBackend& backend, std::span<const Literal> literals);
 
-/// Add clauses enforcing that at most one of `literals` is true.
-void addAtMostOne(SatBackend& backend, std::span<const Literal> literals,
-                  AmoEncoding encoding = AmoEncoding::Sequential);
+/// Add clauses enforcing that at most one of `literals` is true: pairwise for
+/// groups of three or fewer, the sequential ladder otherwise.
+void addAtMostOne(SatBackend& backend, std::span<const Literal> literals);
 
 /// Add clauses enforcing that exactly one of `literals` is true.
-void addExactlyOne(SatBackend& backend, std::span<const Literal> literals,
-                   AmoEncoding encoding = AmoEncoding::Sequential);
+void addExactlyOne(SatBackend& backend, std::span<const Literal> literals);
 
 }  // namespace etcs::cnf

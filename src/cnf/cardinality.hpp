@@ -1,10 +1,10 @@
 /// \file cardinality.hpp
-/// Cardinality constraints: totalizer and sequential-counter encodings.
+/// Cardinality constraints: the totalizer encoding.
 ///
-/// The Totalizer is the workhorse of the optimization engine: its monotone
-/// output literals let the MaxSAT search tighten "at most k" bounds purely
-/// through solver assumptions, keeping all learned clauses valid across
-/// iterations.
+/// The totalizer is the one cardinality encoding of the optimization engine:
+/// its monotone output literals let the border search tighten "at most k"
+/// bounds purely through solver assumptions, keeping all learned clauses
+/// valid across iterations.
 #pragma once
 
 #include <span>
@@ -45,10 +45,5 @@ public:
 private:
     std::vector<Literal> outputs_;
 };
-
-/// Sinz sequential-counter "at most k" encoding (LTn,k). One-shot: the bound
-/// is baked into the clauses. Provided as an ablation alternative to the
-/// totalizer.
-void addAtMostK(SatBackend& backend, std::span<const Literal> literals, std::size_t k);
 
 }  // namespace etcs::cnf

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "cnf/amo.hpp"
 #include "cnf/formula.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -26,9 +27,6 @@ bool Encoder::inCone(std::size_t run, SegmentId segment, int step) const {
     const DiscreteRun& r = instance_->runs()[run];
     if (step < r.departureStep) {
         return false;
-    }
-    if (!options_.pruneWithCones) {
-        return true;
     }
     const int slack = r.lengthSegments - 1;
     const int fromOrigin = instance_->segmentDistance(r.originSegment, segment);
@@ -370,7 +368,7 @@ void Encoder::encodeChainOccupancy(std::size_t run, int from, int to) {
         }
         // Exactly one option: the train occupies exactly one chain, or it has
         // left the network (paper's C1 with explicit presence handling).
-        cnf::addExactlyOne(*backend_, options, options_.amoEncoding);
+        cnf::addExactlyOne(*backend_, options);
     }
     tagEnd();
 }

@@ -32,7 +32,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cnf/amo.hpp"
 #include "cnf/backend.hpp"
 #include "core/instance.hpp"
 #include "core/layout.hpp"
@@ -45,8 +44,6 @@ using cnf::Literal;
 using cnf::SatBackend;
 
 struct EncoderOptions {
-    cnf::AmoEncoding amoEncoding = cnf::AmoEncoding::Sequential;
-    bool pruneWithCones = true;       ///< restrict occupies vars to reachability cones
     bool pruneUnreachable = true;     ///< additionally drop cells the fixpoint
                                       ///< reachability analysis excludes
                                       ///< (lint/reach.hpp, docs/REACHABILITY.md);

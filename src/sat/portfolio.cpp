@@ -165,6 +165,12 @@ void PortfolioSolver::wireWorker(Worker& worker) {
     } else {
         opts.conflictLimit = -1;  // may be left over from a deterministic run
         opts.progressInterval = std::max<std::uint64_t>(options_.cancelCheckConflicts, 1);
+        if (worker.id == 0 && options_.onProgress) {
+            // Worker 0 forwards the user hook, so it polls at that interval too.
+            opts.progressInterval =
+                std::min(opts.progressInterval,
+                         std::max<std::uint64_t>(options_.progressInterval, 1));
+        }
         worker.nextUserProgressAt =
             worker.solver.stats().conflicts +
             std::max<std::uint64_t>(options_.progressInterval, 1);
@@ -201,7 +207,8 @@ void PortfolioSolver::runWorker(Worker& worker, std::span<const Literal> assumpt
 SolveStatus PortfolioSolver::soloProbe(std::span<const Literal> assumptions) {
     // Share-nothing bounded run of worker 0. Callbacks left over from a
     // previous solve's wiring are detached for the probe; a fall-through to
-    // the full portfolio rewires every worker anyway.
+    // the full portfolio rewires every worker anyway. The user hook is
+    // forwarded at its own interval, so it can cancel inside the gate.
     Worker& worker = *workers_.front();
     SolverOptions& opts = worker.solver.options();
     opts.shareMaxSize = 0;
@@ -209,6 +216,16 @@ SolveStatus PortfolioSolver::soloProbe(std::span<const Literal> assumptions) {
     opts.onLearntExport = nullptr;
     opts.onImport = nullptr;
     opts.onProgress = nullptr;
+    if (options_.onProgress) {
+        opts.progressInterval = std::max<std::uint64_t>(options_.progressInterval, 1);
+        opts.onProgress = [this](const SolverProgress& progress) {
+            if (options_.onProgress(progress)) {
+                return true;
+            }
+            userCancelled_.store(true, std::memory_order_relaxed);
+            return false;
+        };
+    }
     opts.conflictLimit = static_cast<std::int64_t>(
         worker.solver.stats().conflicts +
         std::max<std::uint64_t>(options_.soloProbeConflicts, 1));
@@ -409,6 +426,11 @@ SolveStatus PortfolioSolver::solve(std::span<const Literal> assumptions) {
     }
     if (options_.soloProbeConflicts > 0 && workers_.size() > 1) {
         const SolveStatus probed = soloProbe(assumptions);
+        if (userCancelled_.load(std::memory_order_relaxed)) {
+            // Cancelled inside the gate: Unknown, and the fleet never starts.
+            finishSolve(assumptions, SolveStatus::Unknown);
+            return SolveStatus::Unknown;
+        }
         if (probed != SolveStatus::Unknown) {
             winner_ = 0;
             winnerStatus_ = probed;

@@ -61,19 +61,23 @@ struct PortfolioOptions {
     std::uint64_t cancelCheckConflicts = 128;
 
     /// Easy-instance gate: before launching the full portfolio, run worker 0
-    /// alone (share-nothing, no progress hook) under this conflict budget.
+    /// alone (share-nothing) under this conflict budget.
     /// A verdict inside the budget finishes the solve *gated* — no thread
     /// spawns, no clause-sharing synchronization — which protects easy SAT
     /// calls from the sharing/cancellation overhead that can make a 2-thread
     /// portfolio slower than one solver. Budget exhausted (Unknown) falls
     /// through to the full portfolio with worker 0 warm. 0 disables the gate
-    /// (the probe is deterministic either way: worker 0, fixed budget).
+    /// (the probe is deterministic either way: worker 0, fixed budget). The
+    /// user hook runs inside the probe at progressInterval; a false return
+    /// ends the solve as Unknown without starting the full portfolio.
     std::uint64_t soloProbeConflicts = 0;
 
     /// User progress/cancellation hook. Racing mode forwards it from worker
     /// 0 only (single-threaded invocation, every progressInterval of worker
-    /// 0's conflicts); deterministic mode invokes it between epochs with
-    /// aggregated counters. Returning false cancels the whole portfolio.
+    /// 0's conflicts; worker 0 polls every min(cancelCheckConflicts,
+    /// progressInterval) conflicts); deterministic mode invokes it between
+    /// epochs with aggregated counters. Returning false cancels the whole
+    /// portfolio.
     ProgressCallback onProgress;
     std::uint64_t progressInterval = 16384;
 

@@ -541,8 +541,9 @@ TEST(SatSolveCli, NonNumericThreadCountIsAUsageError) {
     EXPECT_EQ(run(kSatSolve + " --threads 4cores < /dev/null").exitCode, 2);
 }
 
+// Flags of removed features fail loudly instead of running a different solver.
 TEST(SatSolveCli, RemovedLazyModeFlagsAreUsageErrors) {
-    for (const char* flag : {"--cegar", "--unroll"}) {
+    for (const char* flag : {"--cegar", "--unroll", "--preprocess"}) {
         SCOPED_TRACE(flag);
         const auto result = run(kSatSolve + " " + flag + " < /dev/null");
         EXPECT_EQ(result.exitCode, 2) << result.output;

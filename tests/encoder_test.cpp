@@ -182,53 +182,29 @@ TEST(Encoder, ConesDoNotChangeVerdicts) {
     s.addRun(w.run(t1, "StA", "StB", 0, 6));
     s.addRun(w.run(t2, "StA", "StB", 4, 12));
     const Instance instance(w.network, w.trains, s, kRes);
+    // With window pruning off, only the reachability cones restrict the
+    // occupancy variables; the default adds the windows on top.
     for (const bool freeLayout : {false, true}) {
-        cnf::SolveStatus withCones;
-        cnf::SolveStatus withoutCones;
+        cnf::SolveStatus withWindows;
+        cnf::SolveStatus conesOnly;
         {
             const auto backend = cnf::makeInternalBackend();
             Encoder encoder(*backend, instance);
             const VssLayout pure(instance.graph());
             encoder.encode(freeLayout ? nullptr : &pure);
-            withCones = backend->solve();
+            withWindows = backend->solve();
         }
         {
             const auto backend = cnf::makeInternalBackend();
             EncoderOptions options;
-            options.pruneWithCones = false;
+            options.pruneUnreachable = false;
             Encoder encoder(*backend, instance, options);
             const VssLayout pure(instance.graph());
             encoder.encode(freeLayout ? nullptr : &pure);
-            withoutCones = backend->solve();
+            conesOnly = backend->solve();
         }
-        EXPECT_EQ(withCones, withoutCones) << "freeLayout=" << freeLayout;
+        EXPECT_EQ(withWindows, conesOnly) << "freeLayout=" << freeLayout;
     }
-}
-
-TEST(Encoder, ConesShrinkTheFormula) {
-    LineWorld w;
-    const auto t = w.trains.addTrain("T", Speed::fromKmPerHour(120), Meters(100));
-    Schedule s;
-    s.addRun(w.run(t, "StA", "StB", 0, 5));
-    const Instance instance(w.network, w.trains, s, kRes);
-    // Window pruning off in both encoders so the comparison isolates the
-    // cone restriction (the window analysis subsumes cones on this line).
-    const auto pruned = cnf::makeInternalBackend();
-    {
-        EncoderOptions options;
-        options.pruneUnreachable = false;
-        Encoder encoder(*pruned, instance, options);
-        encoder.encode(nullptr);
-    }
-    const auto full = cnf::makeInternalBackend();
-    {
-        EncoderOptions options;
-        options.pruneWithCones = false;
-        options.pruneUnreachable = false;
-        Encoder encoder(*full, instance, options);
-        encoder.encode(nullptr);
-    }
-    EXPECT_LT(pruned->numVariables(), full->numVariables());
 }
 
 TEST(Encoder, DoneAllLiteralForcesCompletion) {

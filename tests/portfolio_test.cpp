@@ -701,6 +701,63 @@ TEST(PortfolioSoloProbe, HardInstancesFallThroughToTheFullPortfolio) {
     EXPECT_EQ(started.size(), 2U) << "the full portfolio must have run";
 }
 
+/// Regression: the probe used to run without the user hook, so a solve it
+/// decided could not be cancelled. The hook now runs at its own interval
+/// inside the gate, and a false return ends the solve before the fleet.
+TEST(PortfolioSoloProbe, UserHookCancelsInsideTheGate) {
+    PortfolioOptions options;
+    options.numThreads = 2;
+    options.soloProbeConflicts = std::uint64_t{1} << 30;
+    options.progressInterval = 1;
+    std::vector<std::uint64_t> seen;
+    options.onProgress = [&seen](const SolverProgress& progress) {
+        seen.push_back(progress.conflicts);
+        return seen.size() < 3;
+    };
+    std::mutex mutex;
+    std::set<int> started;
+    options.onWorkerStart = [&](int worker) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        started.insert(worker);
+    };
+    PortfolioSolver portfolio(options);
+    const CnfFormula php = pigeonhole(8, 7);
+    for (int v = 0; v < php.numVariables; ++v) {
+        portfolio.addVariable();
+    }
+    for (const auto& clause : php.clauses) {
+        portfolio.addClause(clause);
+    }
+    EXPECT_EQ(portfolio.solve(), SolveStatus::Unknown);
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3}));
+    EXPECT_EQ(started, std::set<int>{0}) << "a cancelled probe must not start the fleet";
+    EXPECT_EQ(portfolio.stats().gatedSolves, 0U);
+}
+
+/// Regression: racing worker 0 polled its hook every cancelCheckConflicts
+/// (128) conflicts, so a shorter user interval was not honoured.
+TEST(PortfolioProgress, RacingWorkerZeroHonoursTheUserInterval) {
+    PortfolioOptions options;
+    options.numThreads = 2;
+    options.cancelCheckConflicts = 128;
+    options.progressInterval = 1;
+    std::vector<std::uint64_t> seen;
+    options.onProgress = [&seen](const SolverProgress& progress) {
+        seen.push_back(progress.conflicts);
+        return seen.size() < 5;
+    };
+    PortfolioSolver portfolio(options);
+    const CnfFormula php = pigeonhole(8, 7);
+    for (int v = 0; v < php.numVariables; ++v) {
+        portfolio.addVariable();
+    }
+    for (const auto& clause : php.clauses) {
+        portfolio.addClause(clause);
+    }
+    EXPECT_EQ(portfolio.solve(), SolveStatus::Unknown);
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+}
+
 TEST(PortfolioSoloProbe, BackendEnablesTheGateByDefaultAndRecordsTheMetric) {
     auto& registry = etcs::obs::Registry::global();
     const auto before = registry.counter("etcs.sat.portfolio.gated").value();

@@ -113,15 +113,18 @@ TEST(Studies, TasksNeverRepeatASolve) {
 /// still returns must validate. The cancellation budgets (progress callbacks
 /// at a 1-conflict interval) are spread over the callback count of one
 /// uncancelled run, so they keep hitting every phase if the search changes.
-/// The two-worker portfolio runs without its solo-probe gate (with the gate,
-/// worker 0 alone decides every solve here, without the hook) and polls the
-/// hook at every conflict.
+/// Three backends: one thread; a two-worker portfolio without its solo-probe
+/// gate that polls its stop flag at every conflict; and the gated default
+/// that `TaskOptions::threads = 2` builds, where worker 0 alone decides
+/// every solve here inside the gate, so the hook must run inside it.
 TEST(Studies, CancellingComplexLayoutTasksNeverThrows) {
     const studies::CaseStudy study = studies::complexLayout();
     const Instance timed(study.network, study.trains, study.timedSchedule, study.resolution);
     const Instance open(study.network, study.trains, study.openSchedule, study.resolution);
     constexpr std::uint64_t kBudgets = 20;
-    for (const int threads : {1, 2}) {
+    enum class Backend { Single, UngatedPortfolio, GatedPortfolio };
+    for (const Backend backend :
+         {Backend::Single, Backend::UngatedPortfolio, Backend::GatedPortfolio}) {
         for (const bool optimize : {false, true}) {
             const Instance& instance = optimize ? open : timed;
             // Runs the task cancelled after `budget` callbacks; returns the
@@ -129,11 +132,12 @@ TEST(Studies, CancellingComplexLayoutTasksNeverThrows) {
             const auto run = [&](std::uint64_t budget) {
                 std::uint64_t calls = 0;
                 TaskOptions options;
-                if (threads > 1) {
-                    options.backendFactory = [threads] {
+                options.threads = backend == Backend::Single ? 1 : 2;
+                if (backend == Backend::UngatedPortfolio) {
+                    options.backendFactory = [] {
                         sat::PortfolioOptions portfolio;
-                        portfolio.numThreads = threads;
-                        portfolio.cancelCheckConflicts = 1;  // hook at every conflict
+                        portfolio.numThreads = 2;
+                        portfolio.cancelCheckConflicts = 1;  // stop flag at every conflict
                         return cnf::makePortfolioBackend(portfolio);
                     };
                 }
@@ -147,11 +151,13 @@ TEST(Studies, CancellingComplexLayoutTasksNeverThrows) {
                 return std::make_pair(calls, std::move(solution));
             };
             const std::uint64_t total = run(std::numeric_limits<std::uint64_t>::max()).first;
-            ASSERT_GT(total, kBudgets) << "threads " << threads << " optimize " << optimize;
+            ASSERT_GT(total, kBudgets) << "backend " << static_cast<int>(backend)
+                                       << " optimize " << optimize;
             for (std::uint64_t i = 0; i < kBudgets; ++i) {
                 const std::uint64_t budget = 1 + i * total / kBudgets;
-                SCOPED_TRACE(testing::Message() << "threads " << threads << " optimize "
-                                                << optimize << " budget " << budget);
+                SCOPED_TRACE(testing::Message() << "backend " << static_cast<int>(backend)
+                                                << " optimize " << optimize << " budget "
+                                                << budget);
                 std::optional<Solution> solution;
                 ASSERT_NO_THROW(solution = run(budget).second);
                 if (solution) {

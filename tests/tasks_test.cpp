@@ -107,20 +107,6 @@ TEST_F(RunningFixture, LexicographicSectionsReduceLayout) {
     EXPECT_LE(with.sectionCount, without.sectionCount);
 }
 
-TEST_F(RunningFixture, AmoEncodingsAgreeOnVerification) {
-    for (const auto encoding : {cnf::AmoEncoding::Pairwise, cnf::AmoEncoding::Sequential,
-                                cnf::AmoEncoding::Commander, cnf::AmoEncoding::Product}) {
-        TaskOptions options;
-        options.encoder.amoEncoding = encoding;
-        const VssLayout pure(timed.graph());
-        EXPECT_FALSE(verifySchedule(timed, pure, options).feasible)
-            << cnf::toString(encoding);
-        const auto finest = VssLayout::finest(timed.graph());
-        EXPECT_TRUE(verifySchedule(timed, finest, options).feasible)
-            << cnf::toString(encoding);
-    }
-}
-
 TEST_F(RunningFixture, VerificationRequiresTimedSchedule) {
     const VssLayout pure(open.graph());
     EXPECT_THROW((void)verifySchedule(open, pure), PreconditionError);
