@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "cnf/backend.hpp"
-#include "cnf/collect.hpp"
 #include "core/encoder.hpp"
 #include "core/instance.hpp"
 #include "core/tasks.hpp"
@@ -22,25 +21,6 @@
 using namespace etcs;
 
 namespace {
-
-/// Mirror one scaling data point into the metrics registry under
-/// scaling.<series>.<point>.<field> so the final registry dump doubles as a
-/// machine-readable result file.
-void recordPoint(const std::string& series, const std::string& point,
-                 const core::Instance& instance, const core::GenerationResult& result) {
-    auto& registry = obs::Registry::global();
-    const std::string prefix = "scaling." + series + "." + point + ".";
-    registry.gauge(prefix + "segments")
-        .set(static_cast<double>(instance.graph().numSegments()));
-    registry.gauge(prefix + "steps").set(instance.horizonSteps());
-    registry.gauge(prefix + "variables").set(result.stats.numVariables);
-    registry.gauge(prefix + "clauses").set(static_cast<double>(result.stats.numClauses));
-    registry.gauge(prefix + "sat").set(result.feasible ? 1 : 0);
-    registry.gauge(prefix + "runtime_seconds").set(result.stats.runtimeSeconds);
-    registry.gauge(prefix + "conflicts").set(static_cast<double>(result.stats.conflicts));
-    registry.gauge(prefix + "propagations")
-        .set(static_cast<double>(result.stats.propagations));
-}
 
 void corridorScaling() {
     std::cout << "S1a: corridor length scaling (3 trains, 2 km spacing, r_s = 0.5 km, "
@@ -55,7 +35,6 @@ void corridorScaling() {
         const core::Instance instance(study.network, study.trains, study.timedSchedule,
                                       study.resolution);
         const auto result = core::generateLayout(instance);
-        recordPoint("corridor", "stations_" + std::to_string(stations), instance, result);
         std::cout << std::setw(9) << stations << std::setw(10)
                   << instance.graph().numSegments() << std::setw(8)
                   << instance.horizonSteps() << std::setw(9) << result.stats.numVariables
@@ -77,7 +56,6 @@ void trainScaling() {
         const core::Instance instance(study.network, study.trains, study.timedSchedule,
                                       study.resolution);
         const auto result = core::generateLayout(instance);
-        recordPoint("trains", "trains_" + std::to_string(trains), instance, result);
         std::cout << std::setw(7) << trains << std::setw(9) << result.stats.numVariables
                   << std::setw(10) << result.stats.numClauses << std::setw(6)
                   << (result.feasible ? "yes" : "no") << std::setw(12) << std::fixed
@@ -104,10 +82,6 @@ void resolutionScaling() {
         const core::Instance instance(base.network, base.trains, base.timedSchedule,
                                       resolution);
         const auto result = core::generateLayout(instance);
-        recordPoint("resolution",
-                    "rs_" + std::to_string(static_cast<int>(g.rsKm * 1000)) + "m_rt_" +
-                        std::to_string(static_cast<int>(g.rtMin * 60)) + "s",
-                    instance, result);
         std::cout << std::setw(10) << g.rsKm << std::setw(10) << g.rtMin << std::setw(10)
                   << instance.graph().numSegments() << std::setw(8)
                   << instance.horizonSteps() << std::setw(9) << result.stats.numVariables
@@ -142,8 +116,7 @@ int portfolioScaling() {
     } instances[] = {{"corridor_s4_t6", 4, 6, 2.0, true},
                      {"corridor_s3_t6_sp25", 3, 6, 2.5, false},
                      {"corridor_s2_t7", 2, 7, 2.0, false}};
-    auto& registry = obs::Registry::global();
-    obs::Counter& gatedCounter = registry.counter("etcs.sat.portfolio.gated");
+    obs::Counter& gatedCounter = obs::Registry::global().counter("etcs.sat.portfolio.gated");
     int failures = 0;
     for (const auto& spec : instances) {
         const auto study = studies::corridor(spec.stations, spec.trains,
@@ -158,18 +131,12 @@ int portfolioScaling() {
             const std::uint64_t gatedBefore = gatedCounter.value();
             const auto result = core::generateLayout(instance, options);
             const std::uint64_t gated = gatedCounter.value() - gatedBefore;
-            const std::string point =
-                std::string(spec.name) + ".threads_" + std::to_string(threads);
-            recordPoint("portfolio", point, instance, result);
             if (threads == 1) {
                 baseline = result.stats.runtimeSeconds;
             }
             const double speedup = result.stats.runtimeSeconds > 0.0
                                        ? baseline / result.stats.runtimeSeconds
                                        : 0.0;
-            registry.gauge("scaling.portfolio." + point + ".speedup").set(speedup);
-            registry.gauge("scaling.portfolio." + point + ".gated_solves")
-                .set(static_cast<double>(gated));
             std::cout << std::setw(24) << spec.name << std::setw(9) << threads
                       << std::setw(6) << (result.feasible ? "yes" : "no") << std::setw(12)
                       << std::fixed << std::setprecision(3) << result.stats.runtimeSeconds
@@ -209,7 +176,6 @@ void pruningScaling() {
                  {"corridor_s4_t3", studies::corridor(4, 3, Meters::fromKilometers(2.0),
                                                       Resolution{Meters(500), Seconds(60)})},
                  {"nordlandsbanen", studies::nordlandsbanen()}};
-    auto& registry = obs::Registry::global();
     for (const auto& c : cases) {
         const core::Instance instance(c.study.network, c.study.trains, c.study.timedSchedule,
                                       c.study.resolution);
@@ -233,11 +199,6 @@ void pruningScaling() {
                                          static_cast<double>(before.clauses))
                     : 0.0;
             const std::string family(before.family);
-            const std::string prefix = "scaling.pruning." + std::string(c.name) + "." + family;
-            registry.gauge(prefix + ".variables_full").set(before.variables);
-            registry.gauge(prefix + ".variables_pruned").set(after.variables);
-            registry.gauge(prefix + ".clauses_full").set(static_cast<double>(before.clauses));
-            registry.gauge(prefix + ".clauses_pruned").set(static_cast<double>(after.clauses));
             std::cout << std::setw(20) << family << std::setw(12) << before.variables
                       << std::setw(12) << after.variables << std::setw(13) << before.clauses
                       << std::setw(14) << after.clauses << std::setw(9) << std::fixed
@@ -247,79 +208,11 @@ void pruningScaling() {
     }
 }
 
-void unrollScaling() {
-    std::cout << "S1g: BMC-style horizon unrolling vs the monolithic full-horizon\n"
-                 "     encoding (optimization task on the open schedule, internal\n"
-                 "     backend, completion-time search only; the monolithic row is\n"
-                 "     the encode-only formula, no solve; clause counts are\n"
-                 "     deterministic — see docs/UNROLLING.md)\n\n"
-              << std::right << std::setw(18) << "instance" << std::setw(12) << "mode"
-              << std::setw(9) << "vars" << std::setw(10) << "clauses" << std::setw(6)
-              << "sat" << std::setw(8) << "probes" << std::setw(9) << "horizon"
-              << std::setw(12) << "runtime[s]" << std::setw(9) << "drop[%]" << "\n";
-    const struct {
-        const char* name;
-        studies::CaseStudy study;
-    } cases[] = {{"running_example", studies::runningExample()},
-                 {"corridor_s4_t3", studies::corridor(4, 3, Meters::fromKilometers(2.0),
-                                                      Resolution{Meters(500), Seconds(60)})},
-                 {"nordlandsbanen", studies::nordlandsbanen()}};
-    auto& registry = obs::Registry::global();
-    for (const auto& c : cases) {
-        const core::Instance open(c.study.network, c.study.trains, c.study.openSchedule,
-                                  c.study.resolution);
-        cnf::CollectingBackend collector;
-        core::Encoder(collector, open).encode(nullptr);
-        const std::string full = "scaling.unroll." + std::string(c.name) + ".monolithic.";
-        registry.gauge(full + "variables").set(collector.numVariables());
-        registry.gauge(full + "clauses").set(static_cast<double>(collector.numClauses()));
-        registry.gauge(full + "horizon").set(open.horizonSteps());
-        std::cout << std::setw(18) << c.name << std::setw(12) << "monolithic" << std::setw(9)
-                  << collector.numVariables() << std::setw(10) << collector.numClauses()
-                  << std::setw(6) << "-" << std::setw(8) << "-" << std::setw(9)
-                  << open.horizonSteps() << std::setw(12) << "-" << std::setw(9) << "-"
-                  << "\n";
-
-        core::TaskOptions options;
-        options.lintInstance = false;  // always encode + solve
-        // Completion-time search only: the lexicographic border pass adds
-        // its totalizer and would wash out the formula-size comparison (and
-        // dominate the runtime on the largest study).
-        options.lexicographicSections = false;
-        const auto result = core::optimizeSchedule(open, options);
-        const std::string prefix = "scaling.unroll." + std::string(c.name) + ".unroll.";
-        registry.gauge(prefix + "variables").set(result.stats.numVariables);
-        registry.gauge(prefix + "clauses").set(static_cast<double>(result.stats.numClauses));
-        // "verdict", not "sat" as in the other series: the perf-smoke
-        // determinism diff selects metrics by substring and "sat" would
-        // drag in the etcs.sat.* wall-clock histograms.
-        registry.gauge(prefix + "verdict").set(result.feasible ? 1 : 0);
-        registry.gauge(prefix + "completion_steps").set(result.completionSteps);
-        registry.gauge(prefix + "runtime_seconds").set(result.stats.runtimeSeconds);
-        registry.gauge(prefix + "probes").set(result.stats.unrollProbes);
-        registry.gauge(prefix + "start_horizon").set(result.stats.unrollStartHorizon);
-        registry.gauge(prefix + "final_horizon").set(result.stats.unrollFinalHorizon);
-        const double drop =
-            100.0 * (1.0 - static_cast<double>(result.stats.numClauses) /
-                               static_cast<double>(collector.numClauses()));
-        registry.gauge(prefix + "clause_drop_percent").set(drop);
-        std::cout << std::setw(18) << c.name << std::setw(12) << "unroll" << std::setw(9)
-                  << result.stats.numVariables << std::setw(10) << result.stats.numClauses
-                  << std::setw(6) << (result.feasible ? "yes" : "no") << std::setw(8)
-                  << result.stats.unrollProbes << std::setw(9)
-                  << result.stats.unrollFinalHorizon << std::setw(12) << std::fixed
-                  << std::setprecision(3) << result.stats.runtimeSeconds << std::setw(9)
-                  << std::setprecision(1) << drop << "\n";
-    }
-    std::cout << "\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
     // With arguments, run only the named series (corridor, trains,
-    // resolution, portfolio, pruning, unroll) — used by CI to smoke
-    // single series.
+    // resolution, portfolio, pruning).
     const auto selected = [&](const char* series) {
         if (argc <= 1) {
             return true;
@@ -347,13 +240,6 @@ int main(int argc, char** argv) {
     }
     if (selected("pruning")) {
         pruningScaling();
-    }
-    if (selected("unroll")) {
-        unrollScaling();
-    }
-    const char* metricsFile = "BENCH_scaling.json";
-    if (obs::Registry::global().writeJsonFile(metricsFile)) {
-        std::cout << "metrics written to " << metricsFile << "\n";
     }
     return failures == 0 ? 0 : 1;
 }

@@ -10,7 +10,6 @@
 ///   * every generation row is SAT with a few extra sections,
 ///   * every optimization row is SAT with fewer time steps.
 /// The binary self-checks these verdicts and exits nonzero on mismatch.
-#include <cctype>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -18,7 +17,6 @@
 
 #include "core/instance.hpp"
 #include "core/tasks.hpp"
-#include "obs/metrics.hpp"
 #include "studies/studies.hpp"
 
 using namespace etcs;
@@ -32,39 +30,7 @@ struct Row {
     int sections = 0;
     int timeSteps = -1;  // -1: not applicable (verification UNSAT)
     double runtime = 0.0;
-    core::TaskStats stats;
 };
-
-std::string slug(std::string_view text) {
-    std::string out;
-    for (char c : text) {
-        out.push_back(std::isalnum(static_cast<unsigned char>(c))
-                          ? static_cast<char>(std::tolower(static_cast<unsigned char>(c)))
-                          : '_');
-    }
-    return out;
-}
-
-/// Mirror one result row into the metrics registry under
-/// table1.<study>.<task>.<field>, so the registry dump is the machine-
-/// readable twin of the printed table.
-void recordRow(const std::string& study, const Row& row) {
-    auto& registry = obs::Registry::global();
-    const std::string prefix = "table1." + study + "." + slug(row.task) + ".";
-    registry.gauge(prefix + "variables").set(row.vars);
-    registry.gauge(prefix + "clauses").set(static_cast<double>(row.stats.numClauses));
-    registry.gauge(prefix + "sat").set(row.sat ? 1 : 0);
-    registry.gauge(prefix + "sections").set(row.sections);
-    registry.gauge(prefix + "time_steps").set(row.timeSteps);
-    registry.gauge(prefix + "runtime_seconds").set(row.runtime);
-    registry.gauge(prefix + "solve_calls").set(static_cast<double>(row.stats.solveCalls));
-    registry.gauge(prefix + "conflicts").set(static_cast<double>(row.stats.conflicts));
-    registry.gauge(prefix + "propagations")
-        .set(static_cast<double>(row.stats.propagations));
-    registry.gauge(prefix + "restarts").set(static_cast<double>(row.stats.restarts));
-    registry.gauge(prefix + "max_decision_level")
-        .set(static_cast<double>(row.stats.maxDecisionLevel));
-}
 
 void printHeader(const studies::CaseStudy& study) {
     std::ostringstream title;
@@ -100,7 +66,7 @@ bool runStudy(const studies::CaseStudy& study) {
     const auto verification = core::verifySchedule(timed, pure);
     rows.push_back(Row{"Verification", verification.stats.numVariables, verification.feasible,
                        pure.sectionCount(timed.graph()), -1,
-                       verification.stats.runtimeSeconds, verification.stats});
+                       verification.stats.runtimeSeconds});
     shapeOk &= !verification.feasible;  // paper: all verification rows UNSAT
 
     // Generation.
@@ -108,7 +74,7 @@ bool runStudy(const studies::CaseStudy& study) {
     rows.push_back(Row{"Generation", generation.stats.numVariables, generation.feasible,
                        generation.sectionCount,
                        generation.feasible ? generation.solution->completionSteps : -1,
-                       generation.stats.runtimeSeconds, generation.stats});
+                       generation.stats.runtimeSeconds});
     shapeOk &= generation.feasible;
 
     // Optimization.
@@ -116,7 +82,7 @@ bool runStudy(const studies::CaseStudy& study) {
     rows.push_back(Row{"Optimization", optimization.stats.numVariables, optimization.feasible,
                        optimization.sectionCount,
                        optimization.feasible ? optimization.completionSteps : -1,
-                       optimization.stats.runtimeSeconds, optimization.stats});
+                       optimization.stats.runtimeSeconds});
     shapeOk &= optimization.feasible;
     if (generation.feasible && optimization.feasible) {
         shapeOk &= optimization.completionSteps <= generation.solution->completionSteps;
@@ -125,7 +91,6 @@ bool runStudy(const studies::CaseStudy& study) {
     printHeader(study);
     for (const Row& row : rows) {
         printRow(row);
-        recordRow(slug(study.name), row);
     }
     return shapeOk;
 }
@@ -152,9 +117,5 @@ int main() {
     std::cout << (allOk ? "shape check: OK (verification UNSAT, generation/optimization SAT)"
                         : "shape check: MISMATCH against the paper's Table I")
               << "\n";
-    const char* metricsFile = "BENCH_table1.json";
-    if (obs::Registry::global().writeJsonFile(metricsFile)) {
-        std::cout << "metrics written to " << metricsFile << "\n";
-    }
     return allOk ? 0 : 1;
 }

@@ -16,7 +16,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <string>
 
@@ -27,6 +26,7 @@
 #include "core/tasks.hpp"
 #include "railway/dot.hpp"
 #include "railway/io.hpp"
+#include "sat/portfolio.hpp"
 #include "util/parse.hpp"
 
 using namespace etcs;
@@ -94,10 +94,10 @@ std::optional<CliOptions> parseArguments(int argc, char** argv) {
             options.explainJsonFile = argv[i + 1];
             options.explain = true;
         } else if (std::strcmp(argv[i], "--threads") == 0) {
-            const auto threads =
-                parseInteger(argv[i + 1], 0, std::numeric_limits<int>::max());
+            const auto threads = parseInteger(argv[i + 1], 0, sat::kMaxPortfolioThreads);
             if (!threads) {
-                std::cerr << "error: --threads expects a count >= 0\n";
+                std::cerr << "error: --threads expects a count in [0, "
+                          << sat::kMaxPortfolioThreads << "]\n";
                 return std::nullopt;
             }
             options.threads = *threads;

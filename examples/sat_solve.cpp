@@ -31,7 +31,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 
 #include "sat/dimacs.hpp"
@@ -64,10 +63,10 @@ int main(int argc, char** argv) {
         } else if (std::strcmp(argv[i], "--explain") == 0) {
             explain = true;
         } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            const auto count =
-                etcs::parseInteger(argv[++i], 0, std::numeric_limits<int>::max());
+            const auto count = etcs::parseInteger(argv[++i], 0, kMaxPortfolioThreads);
             if (!count) {
-                std::cerr << "c --threads expects a count >= 0\n";
+                std::cerr << "c --threads expects a count in [0, " << kMaxPortfolioThreads
+                          << "]\n";
                 return 2;
             }
             threads = *count;

@@ -34,14 +34,6 @@ public:
     /// k must be < numInputs() (at most n is trivially true).
     [[nodiscard]] Literal atMostAssumption(std::size_t k) const { return ~outputs_.at(k); }
 
-    /// Assumption literal enforcing "at least k inputs are true" (k >= 1).
-    [[nodiscard]] Literal atLeastAssumption(std::size_t k) const { return outputs_.at(k - 1); }
-
-    /// Permanently add "at most k" as a hard constraint.
-    void addAtMost(SatBackend& backend, std::size_t k) const {
-        backend.addUnit(atMostAssumption(k));
-    }
-
 private:
     std::vector<Literal> outputs_;
 };

@@ -54,11 +54,14 @@ void Encoder::createOccupiesVariables(int from, int to) {
     for (std::size_t run = 0; run < instance_->numRuns(); ++run) {
         for (int t = from; t < to; ++t) {
             for (std::size_t s = 0; s < graph.numSegments(); ++s) {
-                if (!inCone(run, SegmentId(s), t)) {
+                // A cell survives only if both filters keep it. The window
+                // is a table lookup, so it goes first and the cone's segment
+                // distances are computed only for the cells it keeps.
+                if (prune_ && !prune_->possible(run, SegmentId(s), t)) {
+                    ++prunedCells;  // window-excluded
                     continue;
                 }
-                if (prune_ && !prune_->possible(run, SegmentId(s), t)) {
-                    ++prunedCells;  // cone-admitted, window-excluded
+                if (!inCone(run, SegmentId(s), t)) {
                     continue;
                 }
                 occ_[run][static_cast<std::size_t>(t)][s] =

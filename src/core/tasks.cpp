@@ -32,8 +32,7 @@ std::unique_ptr<cnf::SatBackend> makeBackend(const TaskOptions& options) {
     auto backend = options.backendFactory ? options.backendFactory()
                    : options.threads == 1
                        ? cnf::makeInternalBackend()
-                       : cnf::makePortfolioBackend(options.threads,
-                                                   options.deterministicPortfolio);
+                       : cnf::makePortfolioBackend(options.threads);
     if (options.progress) {
         backend->setProgressCallback(options.progress, options.progressIntervalConflicts);
     }
@@ -249,7 +248,7 @@ GenerationResult generateLayout(const Instance& instance, const TaskOptions& opt
     const UnrollOutcome out = unrollSolve(*backend, encoder, instance, nullptr, false);
     recordUnroll(result.stats, out);
     result.feasible = out.status == cnf::SolveStatus::Sat;
-    if (result.feasible && options.minimizeSections) {
+    if (result.feasible) {
         // Minimize borders inside the SAT prefix, starting from the probe's
         // model: completion by the prefix's last step is objective-preserving
         // for a fully timed schedule (docs/UNROLLING.md), so the assumption
@@ -327,7 +326,7 @@ OptimizationResult optimizeImpl(const Instance& instance, const VssLayout* fixed
     result.verdict = OptimizeVerdict::Feasible;
     result.completionSteps = out.horizon - 1;
 
-    if (options.lexicographicSections && fixedLayout == nullptr) {
+    if (fixedLayout == nullptr) {
         // Freeze the optimal completion time (and the prefix guard, when one
         // is active), then minimize virtual borders starting from the
         // optimal probe's model, which satisfies both units.

@@ -4,8 +4,8 @@
 ///   2. generateLayout   — find a VSS layout realizing a timed schedule, with
 ///                         as few sections as possible (min sum border_v).
 ///   3. optimizeSchedule — find layout + schedule minimizing completion time
-///                         (min sum !done^t), optionally followed by a
-///                         lexicographic section minimization.
+///                         (min sum !done^t), then the fewest sections at
+///                         that completion time.
 /// Every task solves by BMC-style horizon unrolling on one warm incremental
 /// backend (docs/UNROLLING.md): encode a short horizon prefix, probe it under
 /// the all-trains-done assumption, and extend step by step while the probe is
@@ -28,12 +28,6 @@ namespace etcs::core {
 
 struct TaskOptions {
     EncoderOptions encoder;
-    /// Generation: minimize the number of virtual borders (paper's
-    /// min sum border_v). When false, any feasible layout is returned.
-    bool minimizeSections = true;
-    /// Optimization: after minimizing completion time, also minimize the
-    /// number of virtual borders at the optimal completion time.
-    bool lexicographicSections = true;
     /// SAT backend factory; defaults to the built-in CDCL solver (or to the
     /// portfolio backend when `threads` requests more than one worker).
     std::function<std::unique_ptr<cnf::SatBackend>()> backendFactory;
@@ -42,10 +36,6 @@ struct TaskOptions {
     /// many diversified workers, 0 picks the hardware concurrency (see
     /// docs/PARALLEL.md).
     int threads = 1;
-    /// Run the portfolio in deterministic lock-step mode (reproducible
-    /// verdict/model/winner for a fixed (threads, seed) pair). Only
-    /// meaningful when the portfolio backend is selected via `threads`.
-    bool deterministicPortfolio = false;
     /// Progress/cancellation hook forwarded to the backend (see
     /// sat::ProgressCallback). Returning false aborts the running solve;
     /// the task then reports infeasible/incomplete. Ignored by backends

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 namespace etcs::obs {
@@ -25,8 +24,8 @@ void appendJsonNumber(std::ostream& os, double v) {
         return;
     }
     // Fixed %.12g formatting, independent of stream state and locale, so two
-    // exports of the same registry are byte-identical (benchdiff and the
-    // determinism tests rely on this).
+    // exports of the same registry are byte-identical (the determinism
+    // tests rely on this).
     char buffer[32];
     std::snprintf(buffer, sizeof(buffer), "%.12g", v);
     os << buffer;
@@ -201,15 +200,6 @@ std::string Registry::toJson() const {
     std::ostringstream os;
     writeJson(os);
     return os.str();
-}
-
-bool Registry::writeJsonFile(const std::string& path) const {
-    std::ofstream file(path);
-    if (!file) {
-        return false;
-    }
-    writeJson(file);
-    return static_cast<bool>(file);
 }
 
 void Registry::reset() {

@@ -122,8 +122,6 @@ public:
     /// {"counters": {...}, "gauges": {...}, "histograms": {name: {...}}}.
     void writeJson(std::ostream& os) const;
     [[nodiscard]] std::string toJson() const;
-    /// Write toJson() to `path`; returns false when the file cannot be opened.
-    bool writeJsonFile(const std::string& path) const;
 
     /// Zero every registered metric (metrics stay registered).
     void reset();

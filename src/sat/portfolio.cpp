@@ -47,11 +47,13 @@ struct PortfolioSolver::Worker {
 };
 
 PortfolioSolver::PortfolioSolver(PortfolioOptions options) : options_(std::move(options)) {
+    ETCS_REQUIRE_MSG(options_.numThreads <= kMaxPortfolioThreads,
+                     "portfolio worker count exceeds kMaxPortfolioThreads");
     int threads = options_.numThreads;
     if (threads <= 0) {
         threads = static_cast<int>(std::thread::hardware_concurrency());
     }
-    threads = std::max(threads, 1);
+    threads = std::clamp(threads, 1, kMaxPortfolioThreads);
     workers_.reserve(static_cast<std::size_t>(threads));
     for (int id = 0; id < threads; ++id) {
         auto worker = std::make_unique<Worker>();

@@ -38,9 +38,14 @@ namespace etcs::sat {
 class ProofWriter;
 class Solver;
 
+/// Largest worker count a PortfolioSolver accepts. The constructor rejects
+/// more before it builds any worker, and the CLIs bound --threads by it.
+inline constexpr int kMaxPortfolioThreads = 256;
+
 struct PortfolioOptions {
-    /// Worker count; 0 picks std::thread::hardware_concurrency(). Fixed at
-    /// construction of the PortfolioSolver.
+    /// Worker count, at most kMaxPortfolioThreads; 0 picks
+    /// std::thread::hardware_concurrency() (capped at the same ceiling).
+    /// Fixed at construction of the PortfolioSolver.
     int numThreads = 0;
     /// Lock-step epoch mode: reproducible verdict/model/winner for a fixed
     /// (numThreads, seed) pair, at the cost of barrier synchronization.

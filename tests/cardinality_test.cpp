@@ -70,7 +70,8 @@ TEST_P(TotalizerTest, AtLeastAssumptionEnforcesBound) {
     for (int k = 1; k <= n; ++k) {
         for (std::uint32_t bits = 0; bits < (1u << n); ++bits) {
             auto assumptions = assignmentAssumptions(inputs, bits);
-            assumptions.push_back(totalizer.atLeastAssumption(static_cast<std::size_t>(k)));
+            // "At least k" is output(k - 1).
+            assumptions.push_back(totalizer.output(static_cast<std::size_t>(k - 1)));
             const bool expected = __builtin_popcount(bits) >= k;
             EXPECT_EQ(backend->solve(assumptions) == SolveStatus::Sat, expected)
                 << "n=" << n << " k=" << k << " bits=" << bits;
@@ -84,7 +85,7 @@ TEST(Totalizer, HardAtMostConstraint) {
     const auto backend = makeInternalBackend();
     const auto inputs = makeInputs(*backend, 6);
     const Totalizer totalizer(*backend, inputs);
-    totalizer.addAtMost(*backend, 2);
+    backend->addUnit(totalizer.atMostAssumption(2));
     // Forcing three inputs true is now unsatisfiable.
     EXPECT_EQ(backend->solve({inputs[0], inputs[1], inputs[2]}), SolveStatus::Unsat);
     EXPECT_EQ(backend->solve({inputs[0], inputs[1]}), SolveStatus::Sat);

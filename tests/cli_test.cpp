@@ -1,10 +1,10 @@
 /// \file cli_test.cpp
 /// End-to-end exit-code and output contracts of the shipped command-line
-/// tools: etcslint, gencnf, dratcheck, etcs_explain, benchdiff, etcsgen,
+/// tools: etcslint, gencnf, dratcheck, etcs_explain, etcsgen,
 /// sat_solve and etcs_cli (etcsgen and etcs_cli also over the frozen
 /// generated corpus in tests/fixtures/gen/, see docs/GENERATOR.md). Exit code conventions:
 /// 0 success (for etcslint: no error-severity findings; for etcs_explain:
-/// feasible), 1 findings / NOT VERIFIED / infeasible / regressions, 2 usage
+/// feasible), 1 findings / NOT VERIFIED / infeasible, 2 usage
 /// or I/O error — and never partial output on failure.
 #include <gtest/gtest.h>
 
@@ -29,9 +29,6 @@
 #endif
 #ifndef ETCS_EXPLAIN_BIN
 #error "ETCS_EXPLAIN_BIN must point at the etcs_explain executable"
-#endif
-#ifndef ETCS_BENCHDIFF_BIN
-#error "ETCS_BENCHDIFF_BIN must point at the benchdiff executable"
 #endif
 #ifndef ETCS_ETCSGEN_BIN
 #error "ETCS_ETCSGEN_BIN must point at the etcsgen executable"
@@ -78,7 +75,6 @@ const std::string kLint = ETCS_ETCSLINT_BIN;
 const std::string kGencnf = ETCS_GENCNF_BIN;
 const std::string kDratcheck = ETCS_DRATCHECK_BIN;
 const std::string kExplain = ETCS_EXPLAIN_BIN;
-const std::string kBenchdiff = ETCS_BENCHDIFF_BIN;
 const std::string kEtcsgen = ETCS_ETCSGEN_BIN;
 const std::string kEtcsCli = ETCS_CLI_BIN;
 const std::string kSatSolve = ETCS_SAT_SOLVE_BIN;
@@ -359,43 +355,6 @@ TEST(EtcsExplainCli, UsageErrorExitsTwo) {
     EXPECT_EQ(run(kExplain + files + " --rs 500 --rt 9223372036854775807").exitCode, 2);
 }
 
-TEST(BenchdiffCli, IdenticalFilesHaveNoRegressions) {
-    const std::string bench = writeTempFile(
-        "cli_test_bench_old.json",
-        R"({"counters":{"etcs.sat.conflicts":120},"gauges":{"table1.simple.verify.runtime_seconds":1.5},"histograms":{}})");
-    const auto result = run(kBenchdiff + " " + bench + " " + bench);
-    EXPECT_EQ(result.exitCode, 0) << result.output;
-    EXPECT_NE(result.output.find("0 regression(s)"), std::string::npos) << result.output;
-}
-
-TEST(BenchdiffCli, FlagsRuntimeRegressionsBeyondThreshold) {
-    const std::string before = writeTempFile(
-        "cli_test_bench_before.json",
-        R"({"gauges":{"table1.simple.verify.runtime_seconds":1.0,"table1.simple.verify.variables":50}})");
-    const std::string after = writeTempFile(
-        "cli_test_bench_after.json",
-        R"({"gauges":{"table1.simple.verify.runtime_seconds":2.0,"table1.simple.verify.variables":50}})");
-    const auto result = run(kBenchdiff + " --threshold 0.25 " + before + " " + after);
-    EXPECT_EQ(result.exitCode, 1) << result.output;
-    EXPECT_NE(result.output.find("REGRESSION"), std::string::npos) << result.output;
-    EXPECT_NE(result.output.find("runtime_seconds"), std::string::npos) << result.output;
-
-    // Within threshold, or on an unwatched metric, the diff is clean.
-    const auto reversed = run(kBenchdiff + " --threshold 0.25 " + after + " " + before);
-    EXPECT_EQ(reversed.exitCode, 0) << reversed.output;
-}
-
-TEST(BenchdiffCli, MalformedJsonExitsTwo) {
-    const std::string bad = writeTempFile("cli_test_bench_bad.json", "{not json");
-    const auto result = run(kBenchdiff + " " + bad + " " + bad);
-    EXPECT_EQ(result.exitCode, 2) << result.output;
-    EXPECT_NE(result.output.find("error"), std::string::npos) << result.output;
-}
-
-TEST(BenchdiffCli, UsageErrorExitsTwo) {
-    EXPECT_EQ(run(kBenchdiff).exitCode, 2);
-}
-
 TEST(EtcsgenCli, TwoRunsAreByteIdenticalForEveryFamily) {
     // The reproducibility headline: identical parameters must reproduce
     // identical bytes for every family x schedule-kind combination.
@@ -513,6 +472,16 @@ TEST(EtcsCliArguments, NonNumericThreadCountIsAUsageError) {
     EXPECT_EQ(runQuickstart("--rs 500 --rt 30 --threads -1").exitCode, 2);
 }
 
+// A worker count above the portfolio ceiling is a usage error, reported
+// before any solver or worker is built.
+TEST(EtcsCliArguments, ThreadCountAboveTheCeilingIsAUsageError) {
+    const auto result = runQuickstart("--rs 500 --rt 30 --threads 100000");
+    EXPECT_EQ(result.exitCode, 2) << result.output;
+    EXPECT_NE(result.output.find("--threads expects a count in [0, 256]"), std::string::npos)
+        << result.output;
+    EXPECT_EQ(runQuickstart("--rs 500 --rt 30 --threads 257").exitCode, 2);
+}
+
 TEST(EtcsCliArguments, RemovedLazyModeFlagIsAUsageError) {
     for (const char* flag : {"--cegar", "--unroll"}) {
         SCOPED_TRACE(flag);
@@ -539,6 +508,14 @@ TEST(SatSolveCli, NonNumericThreadCountIsAUsageError) {
     EXPECT_NE(result.output.find("--threads expects a count"), std::string::npos)
         << result.output;
     EXPECT_EQ(run(kSatSolve + " --threads 4cores < /dev/null").exitCode, 2);
+}
+
+TEST(SatSolveCli, ThreadCountAboveTheCeilingIsAUsageError) {
+    const auto result = run(kSatSolve + " --threads 100000 < /dev/null");
+    EXPECT_EQ(result.exitCode, 2) << result.output;
+    EXPECT_NE(result.output.find("--threads expects a count in [0, 256]"), std::string::npos)
+        << result.output;
+    EXPECT_EQ(run(kSatSolve + " --threads 257 < /dev/null").exitCode, 2);
 }
 
 // Flags of removed features fail loudly instead of running a different solver.

@@ -191,8 +191,9 @@ TEST(GenFuzz, DifferentialBattery) {
                 // Backend agreement.
                 etcs::core::TaskOptions portfolio;
                 portfolio.lintInstance = false;
-                portfolio.threads = 2;
-                portfolio.deterministicPortfolio = true;
+                portfolio.backendFactory = [] {
+                    return etcs::cnf::makePortfolioBackend(2, /*deterministic=*/true);
+                };
                 EXPECT_EQ(
                     etcs::core::verifySchedule(instance, finest, portfolio).feasible,
                     verdict.feasible)

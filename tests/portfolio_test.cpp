@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <random>
 #include <set>
@@ -767,6 +768,19 @@ TEST(PortfolioSoloProbe, BackendEnablesTheGateByDefaultAndRecordsTheMetric) {
     ASSERT_EQ(backend->solve(std::span<const Literal>{}), SolveStatus::Sat);
     EXPECT_TRUE(backend->modelValue(Literal::positive(0)));
     EXPECT_EQ(registry.counter("etcs.sat.portfolio.gated").value(), before + 1);
+}
+
+// The worker ceiling is checked first: these counts would otherwise reserve
+// and build that many workers.
+TEST(PortfolioOptions, WorkerCountAboveTheCeilingIsRejected) {
+    for (const int threads : {kMaxPortfolioThreads + 1, 100000,
+                              std::numeric_limits<int>::max()}) {
+        SCOPED_TRACE(threads);
+        PortfolioOptions options;
+        options.numThreads = threads;
+        EXPECT_THROW(PortfolioSolver{options}, PreconditionError);
+        EXPECT_THROW((void)cnf::makePortfolioBackend(threads), PreconditionError);
+    }
 }
 
 TEST(PortfolioBackend, ReportsItsNameAndThreadCount) {

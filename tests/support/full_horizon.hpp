@@ -68,12 +68,10 @@ inline FullHorizonResult fullHorizonGenerate(const core::Instance& instance) {
 }
 
 /// Task 3 on the full-horizon encoding: bisect the smallest step at which
-/// every train can be done, then (free layout, `minimizeSections`) freeze it
-/// and minimize the virtual borders. Infeasible when the horizon admits no
-/// completion at all.
+/// every train can be done, then (free layout) freeze it and minimize the
+/// virtual borders. Infeasible when the horizon admits no completion at all.
 inline FullHorizonResult fullHorizonOptimize(const core::Instance& instance,
-                                             const core::VssLayout* fixedLayout = nullptr,
-                                             bool minimizeSections = true) {
+                                             const core::VssLayout* fixedLayout = nullptr) {
     const auto backend = cnf::makeInternalBackend();
     core::Encoder encoder(*backend, instance);
     const int lo = encoder.completionLowerBound();
@@ -84,7 +82,7 @@ inline FullHorizonResult fullHorizonOptimize(const core::Instance& instance,
     encoder.encode(fixedLayout);
     const auto search = opt::smallestFeasibleIndex(
         *backend, [&](int step) { return encoder.doneAllLiteral(step); }, lo, hi);
-    if (search.feasible && minimizeSections && fixedLayout == nullptr) {
+    if (search.feasible && fixedLayout == nullptr) {
         // The index search leaves its model at the optimal step, so the
         // border search starts from a model of the frozen optimum.
         backend->addUnit(encoder.doneAllLiteral(search.index));

@@ -49,15 +49,6 @@ TEST_F(RunningFixture, GeneratedLayoutPassesVerification) {
     EXPECT_TRUE(verified.feasible);
 }
 
-TEST_F(RunningFixture, GenerationWithoutMinimizationIsFeasibleButLarger) {
-    TaskOptions options;
-    options.minimizeSections = false;
-    const auto result = generateLayout(timed, options);
-    ASSERT_TRUE(result.feasible);
-    EXPECT_GE(result.sectionCount, 5);
-    EXPECT_LE(result.stats.solveCalls, 2u);
-}
-
 TEST_F(RunningFixture, OptimizationBeatsTheTimedSchedule) {
     const auto result = optimizeSchedule(open);
     ASSERT_TRUE(result.feasible);  // Table I row 3: "Yes"
@@ -92,19 +83,6 @@ TEST_F(RunningFixture, OptimizationOnPureLayoutIsWorseOrInfeasible) {
     if (onPure.feasible) {
         EXPECT_GE(onPure.completionSteps, free.completionSteps);
     }
-}
-
-TEST_F(RunningFixture, LexicographicSectionsReduceLayout) {
-    TaskOptions lexicographic;
-    lexicographic.lexicographicSections = true;
-    TaskOptions plain;
-    plain.lexicographicSections = false;
-    const auto with = optimizeSchedule(open, lexicographic);
-    const auto without = optimizeSchedule(open, plain);
-    ASSERT_TRUE(with.feasible);
-    ASSERT_TRUE(without.feasible);
-    EXPECT_EQ(with.completionSteps, without.completionSteps);
-    EXPECT_LE(with.sectionCount, without.sectionCount);
 }
 
 TEST_F(RunningFixture, VerificationRequiresTimedSchedule) {
