@@ -6,6 +6,8 @@
 ///   * spatial/temporal resolution on the running example.
 /// Printed as tables in the spirit of Table I.
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <string>
@@ -15,7 +17,7 @@
 #include "core/encoder.hpp"
 #include "core/instance.hpp"
 #include "core/tasks.hpp"
-#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "studies/studies.hpp"
 
 using namespace etcs;
@@ -92,6 +94,30 @@ void resolutionScaling() {
     std::cout << "\n";
 }
 
+/// Portfolio solves the solo-probe gate decided, read back from a Chrome
+/// trace: a gated solve's "sat.portfolio.solve" span holds no
+/// "sat.portfolio.worker" span of a worker other than 0.
+int gatedSolves(const std::string& tracePath) {
+    std::ifstream in(tracePath);
+    int gated = 0;
+    bool fleetStarted = false;
+    for (std::string line; std::getline(in, line);) {
+        const bool begin = line.find("\"ph\":\"B\"") != std::string::npos;
+        if (line.find("\"name\":\"sat.portfolio.solve\"") != std::string::npos) {
+            if (begin) {
+                fleetStarted = false;
+            } else if (!fleetStarted) {
+                ++gated;
+            }
+        } else if (begin &&
+                   line.find("\"name\":\"sat.portfolio.worker\"") != std::string::npos &&
+                   line.find("\"worker\":0}") == std::string::npos) {
+            fleetStarted = true;
+        }
+    }
+    return gated;
+}
+
 /// Returns the number of failed series assertions (0 = clean).
 int portfolioScaling() {
     std::cout << "S1d: portfolio thread scaling (generation task, racing mode;\n"
@@ -116,7 +142,10 @@ int portfolioScaling() {
     } instances[] = {{"corridor_s4_t6", 4, 6, 2.0, true},
                      {"corridor_s3_t6_sp25", 3, 6, 2.5, false},
                      {"corridor_s2_t7", 2, 7, 2.0, false}};
-    obs::Counter& gatedCounter = obs::Registry::global().counter("etcs.sat.portfolio.gated");
+    // Every run is traced (the same overhead at every thread count) so the
+    // gated solves can be counted from the span stream.
+    const std::string tracePath =
+        (std::filesystem::temp_directory_path() / "etcs_scaling_portfolio.trace.json").string();
     int failures = 0;
     for (const auto& spec : instances) {
         const auto study = studies::corridor(spec.stations, spec.trains,
@@ -128,9 +157,13 @@ int portfolioScaling() {
         for (const int threads : {1, 2, 4}) {
             core::TaskOptions options;
             options.threads = threads;
-            const std::uint64_t gatedBefore = gatedCounter.value();
+            if (!obs::Tracer::start(tracePath)) {
+                std::cout << "FAIL: cannot write the trace file " << tracePath << "\n";
+                return failures + 1;
+            }
             const auto result = core::generateLayout(instance, options);
-            const std::uint64_t gated = gatedCounter.value() - gatedBefore;
+            obs::Tracer::stop();
+            const int gated = gatedSolves(tracePath);
             if (threads == 1) {
                 baseline = result.stats.runtimeSeconds;
             }
@@ -150,6 +183,7 @@ int portfolioScaling() {
             }
         }
     }
+    std::filesystem::remove(tracePath);
     std::cout << "\n";
     return failures;
 }

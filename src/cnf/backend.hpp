@@ -91,12 +91,13 @@ public:
 
 /// Create the parallel portfolio backend (see sat/portfolio.hpp and
 /// docs/PARALLEL.md): `threads` diversified CDCL workers with clause sharing
-/// and first-winner cancellation. threads <= 0 picks the hardware
-/// concurrency; `deterministic` selects the reproducible lock-step mode.
-[[nodiscard]] std::unique_ptr<SatBackend> makePortfolioBackend(int threads,
-                                                               bool deterministic = false);
+/// and first-winner cancellation, racing, with the solo-probe gate on.
+/// threads <= 0 picks the hardware concurrency.
+[[nodiscard]] std::unique_ptr<SatBackend> makePortfolioBackend(int threads);
 
-/// Portfolio backend with full control over the portfolio policy.
+/// Portfolio backend with full control over the portfolio policy (lock-step
+/// `deterministic` mode included). The options' onWorkerStart/onWorkerFinish
+/// hooks run before the backend's own trace hooks.
 [[nodiscard]] std::unique_ptr<SatBackend> makePortfolioBackend(
     sat::PortfolioOptions options);
 

@@ -28,7 +28,6 @@ public:
 
     /// Literal that is true iff >= count+1 inputs are true.
     [[nodiscard]] Literal output(std::size_t count) const { return outputs_.at(count); }
-    [[nodiscard]] const std::vector<Literal>& outputs() const noexcept { return outputs_; }
 
     /// Assumption literal enforcing "at most k inputs are true".
     /// k must be < numInputs() (at most n is trivially true).

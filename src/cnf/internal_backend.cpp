@@ -1,5 +1,4 @@
 #include "cnf/backend.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sat/solver.hpp"
 
@@ -28,7 +27,7 @@ public:
         const SolveStatus status = solver_.solve(assumptions);
         const double seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-        recordSolveMetrics(before, seconds, status);
+        reportSolve(before, seconds, status);
         return status;
     }
 
@@ -55,17 +54,9 @@ public:
     std::string name() const override { return "internal-cdcl"; }
 
 private:
-    void recordSolveMetrics(const sat::SolverStats& before, double seconds,
-                            SolveStatus status) {
+    /// Trace counters and the debug log record of one finished solve.
+    void reportSolve(const sat::SolverStats& before, double seconds, SolveStatus status) {
         const sat::SolverStats& after = solver_.stats();
-        auto& registry = obs::Registry::global();
-        registry.counter("etcs.sat.solves").increment();
-        registry.counter("etcs.sat.conflicts").add(after.conflicts - before.conflicts);
-        registry.counter("etcs.sat.propagations")
-            .add(after.propagations - before.propagations);
-        registry.counter("etcs.sat.decisions").add(after.decisions - before.decisions);
-        registry.counter("etcs.sat.restarts").add(after.restarts - before.restarts);
-        registry.histogram("etcs.sat.solve_seconds").observe(seconds);
         if (obs::tracingEnabled()) {
             obs::Tracer::counterValue("sat.conflicts", static_cast<double>(after.conflicts));
             obs::Tracer::counterValue("sat.learnt_db",

@@ -1,5 +1,4 @@
 #include "cnf/backend.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sat/portfolio.hpp"
 
@@ -11,23 +10,29 @@ namespace etcs::cnf {
 namespace {
 
 /// SatBackend implementation on top of the parallel portfolio solver.
-/// Observability: every solve is wrapped in a "sat.portfolio.solve" span,
+/// Observability: every solve is wrapped in a "sat.portfolio.solve" span and
 /// each worker's participation in a "sat.portfolio.worker" span on its own
-/// thread (the Chrome trace tid separates the tracks), and the
-/// etcs.sat.portfolio.* metrics described in docs/OBSERVABILITY.md are
-/// updated per solve.
+/// thread (the Chrome trace tid separates the tracks). The caller's own
+/// onWorkerStart/onWorkerFinish hooks still run, before the trace hooks.
 class PortfolioBackend final : public SatBackend {
 public:
     explicit PortfolioBackend(sat::PortfolioOptions options)
         : solver_([&options]() {
-              options.onWorkerStart = [](int worker) {
+              options.onWorkerStart = [user = std::move(options.onWorkerStart)](int worker) {
+                  if (user) {
+                      user(worker);
+                  }
                   if (obs::tracingEnabled()) {
                       obs::Tracer::begin("sat.portfolio.worker",
                                          "{\"worker\":" + std::to_string(worker) + "}");
                   }
               };
-              options.onWorkerFinish = [](int worker, SolveStatus status,
-                                          const sat::SolverStats& stats) {
+              options.onWorkerFinish = [user = std::move(options.onWorkerFinish)](
+                                           int worker, SolveStatus status,
+                                           const sat::SolverStats& stats) {
+                  if (user) {
+                      user(worker, status, stats);
+                  }
                   if (obs::tracingEnabled()) {
                       obs::Tracer::counterValue(
                           ("sat.portfolio.worker" + std::to_string(worker) + ".conflicts")
@@ -35,7 +40,6 @@ public:
                           static_cast<double>(stats.conflicts));
                       obs::Tracer::end("sat.portfolio.worker");
                   }
-                  (void)status;
               };
               return options;
           }()) {}
@@ -50,14 +54,15 @@ public:
 
     SolveStatus solve(std::span<const Literal> assumptions) override {
         const obs::Span span("sat.portfolio.solve");
-        const sat::SolverStats before = solver_.solverStats();
         const sat::PortfolioStats sharingBefore = solver_.stats();
         const auto start = std::chrono::steady_clock::now();
         const SolveStatus status = solver_.solve(assumptions);
-        const double seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-                .count();
-        recordSolveMetrics(before, sharingBefore, seconds, status);
+        if (obs::logEnabled(obs::LogLevel::Debug)) {
+            const double seconds =
+                std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+                    .count();
+            logSolve(sharingBefore, seconds, status);
+        }
         return status;
     }
 
@@ -86,65 +91,20 @@ public:
                (solver_.options().deterministic ? ",deterministic)" : ")");
     }
 
-    [[nodiscard]] const sat::PortfolioSolver& portfolio() const noexcept {
-        return solver_;
-    }
-
 private:
-    void recordSolveMetrics(const sat::SolverStats& before,
-                            const sat::PortfolioStats& sharingBefore, double seconds,
-                            SolveStatus status) {
-        const sat::SolverStats& after = solver_.solverStats();
+    void logSolve(const sat::PortfolioStats& sharingBefore, double seconds,
+                  SolveStatus status) const {
         const sat::PortfolioStats& sharing = solver_.stats();
-        auto& registry = obs::Registry::global();
-        registry.counter("etcs.sat.solves").increment();
-        registry.counter("etcs.sat.conflicts").add(after.conflicts - before.conflicts);
-        registry.counter("etcs.sat.propagations")
-            .add(after.propagations - before.propagations);
-        registry.counter("etcs.sat.decisions").add(after.decisions - before.decisions);
-        registry.counter("etcs.sat.restarts").add(after.restarts - before.restarts);
-        registry.histogram("etcs.sat.solve_seconds").observe(seconds);
-
-        registry.counter("etcs.sat.portfolio.solves").increment();
-        registry.counter("etcs.sat.portfolio.exported")
-            .add(sharing.exportedClauses - sharingBefore.exportedClauses);
-        registry.counter("etcs.sat.portfolio.imported")
-            .add(sharing.importedClauses - sharingBefore.importedClauses);
-        registry.counter("etcs.sat.portfolio.dropped")
-            .add(sharing.droppedClauses - sharingBefore.droppedClauses);
-        registry.counter("etcs.sat.portfolio.gated")
-            .add(sharing.gatedSolves - sharingBefore.gatedSolves);
-        registry.gauge("etcs.sat.portfolio.threads")
-            .set(static_cast<double>(solver_.numThreads()));
-        registry.gauge("etcs.sat.portfolio.last_winner")
-            .set(static_cast<double>(sharing.lastWinner));
-        registry.histogram("etcs.sat.portfolio.solve_seconds").observe(seconds);
-        if (sharing.lastWinner >= 0) {
-            registry
-                .counter("etcs.sat.portfolio.wins.worker" +
-                         std::to_string(sharing.lastWinner))
-                .increment();
-        }
-        if (status == SolveStatus::Unsat) {
-            // Size of the winner's snapshotted failed-assumption core (0 for
-            // terminal, assumption-free UNSAT) — feeds core attribution.
-            const double coreSize = static_cast<double>(solver_.conflictCore().size());
-            registry.gauge("etcs.sat.portfolio.core_size").set(coreSize);
-            registry.histogram("etcs.sat.portfolio.core_sizes").observe(coreSize);
-        }
-        if (obs::logEnabled(obs::LogLevel::Debug)) {
-            std::string fields = ",\"status\":\"";
-            fields += status == SolveStatus::Sat     ? "sat"
-                      : status == SolveStatus::Unsat ? "unsat"
-                                                     : "unknown";
-            fields += "\",\"seconds\":" + std::to_string(seconds);
-            fields += ",\"threads\":" + std::to_string(solver_.numThreads());
-            fields += ",\"winner\":" + std::to_string(sharing.lastWinner);
-            fields += ",\"imported\":" +
-                      std::to_string(sharing.importedClauses -
-                                     sharingBefore.importedClauses);
-            obs::log(obs::LogLevel::Debug, "sat", "portfolio solve finished", fields);
-        }
+        std::string fields = ",\"status\":\"";
+        fields += status == SolveStatus::Sat     ? "sat"
+                  : status == SolveStatus::Unsat ? "unsat"
+                                                 : "unknown";
+        fields += "\",\"seconds\":" + std::to_string(seconds);
+        fields += ",\"threads\":" + std::to_string(solver_.numThreads());
+        fields += ",\"winner\":" + std::to_string(sharing.lastWinner);
+        fields += ",\"imported\":" +
+                  std::to_string(sharing.importedClauses - sharingBefore.importedClauses);
+        obs::log(obs::LogLevel::Debug, "sat", "portfolio solve finished", fields);
     }
 
     sat::PortfolioSolver solver_;
@@ -156,10 +116,9 @@ std::unique_ptr<SatBackend> makePortfolioBackend(sat::PortfolioOptions options) 
     return std::make_unique<PortfolioBackend>(std::move(options));
 }
 
-std::unique_ptr<SatBackend> makePortfolioBackend(int threads, bool deterministic) {
+std::unique_ptr<SatBackend> makePortfolioBackend(int threads) {
     sat::PortfolioOptions options;
     options.numThreads = threads;
-    options.deterministic = deterministic;
     // Easy-instance gate (sat/portfolio.hpp): spend a short solo budget on
     // worker 0 before spawning the fleet, so trivially-SAT probes — frequent
     // in the optimization drivers' bound searches — skip the sharing and

@@ -78,7 +78,12 @@ struct Solution {
 
 class Encoder {
 public:
-    Encoder(SatBackend& backend, const Instance& instance, EncoderOptions options = {});
+    /// `reach` may carry the reachability table a caller already built for
+    /// this same instance (the tasks' lint gate does); with pruneUnreachable
+    /// the encoder prunes with it instead of running the analysis again, and
+    /// builds its own when it is empty.
+    Encoder(SatBackend& backend, const Instance& instance, EncoderOptions options = {},
+            std::optional<PruneTable> reach = std::nullopt);
 
     /// Emit all constraints over the full horizon. Pass a layout to pin every
     /// border (verification task); pass nullptr to leave borders free
@@ -199,7 +204,6 @@ private:
             provenance_.close(backend_->numClauses());
         }
     }
-    void recordProvenanceMetrics() const;
 
     [[nodiscard]] bool inCone(std::size_t run, SegmentId segment, int step) const;
     /// Union of segments on all node-simple paths from e to f of at most
@@ -212,7 +216,8 @@ private:
     EncoderOptions options_;
     bool encoded_ = false;
     int encodedHorizon_ = 0;           ///< steps encoded so far
-    std::optional<PruneTable> prune_;  ///< built by encode() when pruneUnreachable
+    std::optional<PruneTable> prune_;  ///< set when pruneUnreachable: passed in or
+                                       ///< built by encodePrefix()
 
     // occ_[run][t][segment]: literal or invalid (constant false). Sized to
     // the full horizon up front; steps beyond encodedHorizon_ stay invalid.

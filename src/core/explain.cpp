@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "cnf/collect.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sat/drat_check.hpp"
 #include "sat/solver.hpp"
@@ -222,25 +221,6 @@ std::vector<char> shrinkGroups(const sat::CnfFormula& formula,
     return active;
 }
 
-void recordExplainMetrics(const ExplainResult& result) {
-    auto& registry = obs::Registry::global();
-    registry.counter("etcs.explain.reports").increment();
-    registry.counter("etcs.explain.core.clauses").add(result.coreClauses);
-    registry.counter("etcs.explain.shrink.solves").add(result.shrinkSolves);
-    // Proof-core heatmaps: tagged core records credited to every run and
-    // family they mention (run2 counts too — pairwise constraints heat both
-    // trains).
-    for (const ClauseProvenance& r : result.coreRecords) {
-        registry.counter("etcs.explain.core.family." + std::string(r.family)).increment();
-        if (r.run >= 0) {
-            registry.counter("etcs.explain.core.run." + std::to_string(r.run)).increment();
-        }
-        if (r.run2 >= 0) {
-            registry.counter("etcs.explain.core.run." + std::to_string(r.run2)).increment();
-        }
-    }
-}
-
 }  // namespace
 
 ExplainResult explainInfeasibility(const Instance& instance, const VssLayout* fixedLayout,
@@ -379,7 +359,6 @@ ExplainResult explainInfeasibility(const Instance& instance, const VssLayout* fi
                       std::to_string(result.citedGroups) + " cited)";
     result.entries.insert(result.entries.begin(), std::move(summary));
 
-    recordExplainMetrics(result);
     return result;
 }
 

@@ -9,7 +9,7 @@
 /// Downstream consumers (see explain.hpp and docs/EXPLAIN.md):
 ///  * proof-core attribution — DRAT core clause indices map back to the
 ///    trains/sections/steps whose constraints refute the instance;
-///  * per-entity encoder accounting — etcs.provenance.* metrics;
+///  * per-entity encoder accounting — clauses per run / TTD from the spans;
 ///  * selector-group core shrinking on a warm incremental solver.
 #pragma once
 

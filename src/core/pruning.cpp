@@ -3,8 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.hpp"
-
 namespace etcs::core {
 
 namespace {
@@ -30,21 +28,5 @@ lint::ReachAnalysis buildAnalysis(const Instance& instance) {
 }  // namespace
 
 PruneTable::PruneTable(const Instance& instance) : analysis_(buildAnalysis(instance)) {}
-
-void PruneTable::recordMetrics() const {
-    auto& registry = obs::Registry::global();
-    registry.counter("etcs.reach.runs").add(analysis_.numRuns());
-    registry.counter("etcs.reach.iterations").add(analysis_.iterations());
-    registry.counter("etcs.reach.violations").add(analysis_.violations().size());
-    registry.counter("etcs.reach.cells.possible").add(analysis_.possibleCells());
-    registry.counter("etcs.reach.cells.total").add(analysis_.totalCells());
-    std::uint64_t promptRuns = 0;
-    for (std::size_t run = 0; run < analysis_.numRuns(); ++run) {
-        if (analysis_.promptCutoff(run)) {
-            ++promptRuns;
-        }
-    }
-    registry.counter("etcs.reach.prompt_cutoff_runs").add(promptRuns);
-}
 
 }  // namespace etcs::core

@@ -35,9 +35,6 @@ public:
 
     [[nodiscard]] const lint::ReachAnalysis& analysis() const noexcept { return analysis_; }
 
-    /// Export etcs.reach.* counters to the global metrics registry.
-    void recordMetrics() const;
-
 private:
     lint::ReachAnalysis analysis_;
 };

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lint/rail_lint.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "opt/minimize.hpp"
 
@@ -46,18 +47,17 @@ double secondsSince(Clock::time_point start) {
 /// Fail-fast pre-pass: run the instance linter and report whether it proved
 /// the schedule unsatisfiable. The schedule lints are sound w.r.t. the
 /// encoding (see lint/rail_lint.hpp), so an Error-severity finding lets the
-/// task return infeasible without encoding or solving anything.
-bool lintRejects(const Instance& instance, const TaskOptions& options, const char* task) {
+/// task return infeasible without encoding or solving anything. When the
+/// gate passes after running the reachability analysis, `reach` holds its
+/// table for the encoder to prune with, so the analysis runs once per task.
+bool lintRejects(const Instance& instance, const TaskOptions& options, const char* task,
+                 std::optional<PruneTable>& reach) {
     if (!options.lintInstance) {
         return false;
     }
     lint::LintReport report;
     lint::lintSchedule(instance.graph(), instance.trains(), instance.schedule(), report);
-    report.recordMetrics();
     if (report.hasErrors()) {
-        obs::Registry::global()
-            .counter(std::string("etcs.task.") + task + ".lint_rejected")
-            .increment();
         if (obs::logEnabled(obs::LogLevel::Info)) {
             obs::log(obs::LogLevel::Info, "task", task,
                      ",\"lint_rejected\":true,\"errors\":" +
@@ -68,23 +68,23 @@ bool lintRejects(const Instance& instance, const TaskOptions& options, const cha
     // Second, stronger gate: the fixpoint reachability analysis refutes
     // schedules the shortest-path bounds miss (R-codes, lint/reach.hpp) and
     // is equally sound w.r.t. the encoding.
-    const PruneTable reach(instance);
-    if (reach.provablyInfeasible()) {
-        obs::Registry::global()
-            .counter(std::string("etcs.task.") + task + ".reach_rejected")
-            .increment();
+    {
+        const obs::Span reachSpan("lint.reach");
+        reach.emplace(instance);
+    }
+    if (reach->provablyInfeasible()) {
         if (obs::logEnabled(obs::LogLevel::Info)) {
             obs::log(obs::LogLevel::Info, "task", task,
                      ",\"reach_rejected\":true,\"violations\":" +
-                         std::to_string(reach.analysis().violations().size()));
+                         std::to_string(reach->analysis().violations().size()));
         }
         return true;
     }
     return false;
 }
 
-/// Fold formula size and the backend's solver counters into the task stats,
-/// record the task runtime, and mirror the totals into the metrics registry.
+/// Fold formula size and the backend's solver counters into the task stats
+/// and record the task runtime.
 void finishStats(TaskStats& stats, const cnf::SatBackend& backend, const char* task,
                  Clock::time_point start) {
     stats.numVariables = backend.numVariables();
@@ -97,11 +97,6 @@ void finishStats(TaskStats& stats, const cnf::SatBackend& backend, const char* t
     stats.maxDecisionLevel = solver.maxDecisionLevel;
     stats.peakLearnts = solver.peakLearnts;
     stats.runtimeSeconds = secondsSince(start);
-
-    auto& registry = obs::Registry::global();
-    registry.counter(std::string("etcs.task.") + task + ".runs").increment();
-    registry.histogram(std::string("etcs.task.") + task + ".seconds")
-        .observe(stats.runtimeSeconds);
     if (obs::logEnabled(obs::LogLevel::Info)) {
         obs::log(obs::LogLevel::Info, "task", task,
                  ",\"variables\":" + std::to_string(stats.numVariables) +
@@ -153,7 +148,6 @@ struct UnrollOutcome {
 /// docs/UNROLLING.md for the argument.
 UnrollOutcome unrollSolve(cnf::SatBackend& backend, Encoder& encoder, const Instance& instance,
                           const VssLayout* fixedLayout, bool completionAssumedAtFull) {
-    auto& registry = obs::Registry::global();
     const int fullHorizon = instance.horizonSteps();
     UnrollOutcome out;
     out.startHorizon = unrollStartHorizon(instance, encoder);
@@ -169,7 +163,6 @@ UnrollOutcome unrollSolve(cnf::SatBackend& backend, Encoder& encoder, const Inst
             assumptions.push_back(encoder.doneAllLiteral(k - 1));
         }
         ++out.probes;
-        registry.counter("etcs.unroll.probes").increment();
         {
             const obs::Span probeSpan("unroll.probe");
             out.status = backend.solve(assumptions);
@@ -183,12 +176,9 @@ UnrollOutcome unrollSolve(cnf::SatBackend& backend, Encoder& encoder, const Inst
             break;  // cancelled, or UNSAT with nothing left to unroll
         }
         ++k;
-        registry.counter("etcs.unroll.extensions").increment();
         const obs::Span extendSpan("unroll.extend");
         encoder.extendHorizon(k);
     }
-    registry.gauge("etcs.unroll.start_horizon").set(out.startHorizon);
-    registry.gauge("etcs.unroll.final_horizon").set(out.horizon);
     if (obs::logEnabled(obs::LogLevel::Info)) {
         obs::log(obs::LogLevel::Info, "unroll", "horizon unrolling finished",
                  ",\"start\":" + std::to_string(out.startHorizon) +
@@ -215,13 +205,14 @@ VerificationResult verifySchedule(const Instance& instance, const VssLayout& lay
     const obs::Span span("task.verify");
     const auto start = Clock::now();
     VerificationResult result;
-    if (lintRejects(instance, options, "verify")) {
+    std::optional<PruneTable> reach;
+    if (lintRejects(instance, options, "verify", reach)) {
         result.stats.runtimeSeconds = secondsSince(start);
         return result;
     }
 
     const auto backend = makeBackend(options);
-    Encoder encoder(*backend, instance, options.encoder);
+    Encoder encoder(*backend, instance, options.encoder, std::move(reach));
     const UnrollOutcome out = unrollSolve(*backend, encoder, instance, &layout, false);
     recordUnroll(result.stats, out);
     result.feasible = out.status == cnf::SolveStatus::Sat;
@@ -238,13 +229,14 @@ GenerationResult generateLayout(const Instance& instance, const TaskOptions& opt
     const obs::Span span("task.generate");
     const auto start = Clock::now();
     GenerationResult result;
-    if (lintRejects(instance, options, "generate")) {
+    std::optional<PruneTable> reach;
+    if (lintRejects(instance, options, "generate", reach)) {
         result.stats.runtimeSeconds = secondsSince(start);
         return result;
     }
 
     const auto backend = makeBackend(options);
-    Encoder encoder(*backend, instance, options.encoder);
+    Encoder encoder(*backend, instance, options.encoder, std::move(reach));
     const UnrollOutcome out = unrollSolve(*backend, encoder, instance, nullptr, false);
     recordUnroll(result.stats, out);
     result.feasible = out.status == cnf::SolveStatus::Sat;
@@ -293,13 +285,14 @@ OptimizationResult optimizeImpl(const Instance& instance, const VssLayout* fixed
     const obs::Span span("task.optimize");
     const auto start = Clock::now();
     OptimizationResult result;
-    if (lintRejects(instance, options, "optimize")) {
+    std::optional<PruneTable> reach;
+    if (lintRejects(instance, options, "optimize", reach)) {
         result.stats.runtimeSeconds = secondsSince(start);
         return result;
     }
 
     const auto backend = makeBackend(options);
-    Encoder encoder(*backend, instance, options.encoder);
+    Encoder encoder(*backend, instance, options.encoder, std::move(reach));
 
     // Primary objective: minimize the number of time steps until all trains
     // have left (paper's min sum !done^t). done^t is monotone, so the optimum
@@ -311,7 +304,6 @@ OptimizationResult optimizeImpl(const Instance& instance, const VssLayout* fixed
         // proof of infeasibility. Report it distinctly (and skip encoding:
         // no formula is needed to see it).
         result.verdict = OptimizeVerdict::HorizonTooShort;
-        obs::Registry::global().counter("etcs.task.optimize.horizon_too_short").increment();
         finishStats(result.stats, *backend, "optimize", start);
         return result;
     }

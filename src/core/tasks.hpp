@@ -46,9 +46,9 @@ struct TaskOptions {
     /// Run the instance linter (lint/rail_lint.hpp) before encoding and fail
     /// fast — no encode, no solver call — when it proves the schedule
     /// infeasible (shortest-path lower bounds, headway conflicts, horizon
-    /// overruns). Lint counts are recorded in the metrics registry either
-    /// way; set to false to opt out and always hand the instance to the
-    /// solver.
+    /// overruns), or when the reachability analysis refutes it; a passing
+    /// analysis is reused for the encoder's pruning. Set to false to opt out
+    /// and always hand the instance to the solver.
     bool lintInstance = true;
 };
 

@@ -2,7 +2,6 @@
 
 #include <array>
 
-#include "obs/metrics.hpp"
 
 namespace etcs::lint {
 
@@ -156,13 +155,6 @@ void LintReport::writeJson(std::ostream& os) const {
         os << "\",\"line\":" << d.line << '}';
     }
     os << "]}";
-}
-
-void LintReport::recordMetrics() const {
-    auto& registry = obs::Registry::global();
-    registry.counter("etcs.lint.errors").add(errors_);
-    registry.counter("etcs.lint.warnings").add(warnings_);
-    registry.counter("etcs.lint.infos").add(infos_);
 }
 
 }  // namespace etcs::lint

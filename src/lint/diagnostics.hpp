@@ -82,10 +82,6 @@ public:
     /// Machine-readable rendering: {"diagnostics": [...], "errors": N, ...}.
     void writeJson(std::ostream& os) const;
 
-    /// Fold the per-severity counts into the global metrics registry
-    /// (counters etcs.lint.errors / .warnings / .infos).
-    void recordMetrics() const;
-
 private:
     std::vector<Diagnostic> diagnostics_;
     std::size_t errors_ = 0;

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "cnf/cardinality.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 
@@ -15,9 +14,8 @@ using cnf::Totalizer;
 
 namespace {
 
-/// One trace/metrics record per bound probe of a minimization search.
+/// One trace/log record per bound probe of a minimization search.
 void recordBoundProbe(const char* event, int bound, bool sat) {
-    obs::Registry::global().counter("etcs.opt.bound_probes").increment();
     if (obs::tracingEnabled()) {
         obs::Tracer::instant(event, "{\"bound\":" + std::to_string(bound) +
                                         ",\"sat\":" + (sat ? "true" : "false") + "}");
@@ -30,7 +28,6 @@ void recordBoundProbe(const char* event, int bound, bool sat) {
 }
 
 void recordIncumbent(int incumbent) {
-    obs::Registry::global().gauge("etcs.opt.incumbent").set(incumbent);
     if (obs::tracingEnabled()) {
         obs::Tracer::counterValue("opt.incumbent", incumbent);
     }

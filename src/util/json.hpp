@@ -1,6 +1,6 @@
 /// \file json.hpp
 /// A minimal recursive-descent JSON parser for the library's own output
-/// formats (metrics registry exports, explanation reports).
+/// formats (explanation reports, generator manifests).
 /// Header-only and dependency-free; not a general-purpose JSON library —
 /// no streaming, no \uXXXX surrogate pairs beyond the BMP, numbers parsed
 /// as double. Throws etcs::InputError on malformed input with a byte

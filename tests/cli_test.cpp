@@ -412,6 +412,34 @@ TEST(EtcsgenCli, UnwritableOutputExitsTwo) {
     EXPECT_NE(result.output.find("error"), std::string::npos) << result.output;
 }
 
+// A size past int used to wrap silently (4294967297 generated size 1).
+TEST(EtcsgenCli, SizeOutsideIntIsAUsageError) {
+    const std::string dir = testing::TempDir() + "cli_test_gen_size." +
+                            std::to_string(::getpid());
+    ASSERT_EQ(run("mkdir -p " + dir).exitCode, 0);
+    const auto result =
+        run(kEtcsgen + " --family corridor --seed 1 --size 4294967297 --out " + dir);
+    EXPECT_EQ(result.exitCode, 2) << result.output;
+    EXPECT_NE(result.output.find("--size"), std::string::npos) << result.output;
+    EXPECT_NE(run("ls " + dir + "/*.rail").exitCode, 0) << "nothing may be written";
+}
+
+// A resolution above Resolution::kMaxCount used to reach the generator and
+// fail its train preconditions; it is rejected as a usage error instead.
+TEST(EtcsgenCli, ResolutionAboveTheCeilingIsAUsageError) {
+    const std::string dir = testing::TempDir() + "cli_test_gen_res." +
+                            std::to_string(::getpid());
+    ASSERT_EQ(run("mkdir -p " + dir).exitCode, 0);
+    for (const std::string flag : {"--rs", "--rt"}) {
+        SCOPED_TRACE(flag);
+        const auto result = run(kEtcsgen + " --family corridor --seed 1 " + flag +
+                                " 9223372036854775807 --out " + dir);
+        EXPECT_EQ(result.exitCode, 2) << result.output;
+        EXPECT_NE(result.output.find("error: " + flag), std::string::npos) << result.output;
+        EXPECT_EQ(result.output.find("precondition"), std::string::npos) << result.output;
+    }
+}
+
 TEST(EtcsCliGenCorpus, FeasibleInstancesVerifyWithExitZero) {
     for (const char* name :
          {"corridor_s42_n3_t2_feasible", "station_s42_n3_t2_feasible",

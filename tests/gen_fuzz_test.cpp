@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "cnf/backend.hpp"
 #include "cnf/collect.hpp"
@@ -192,7 +193,11 @@ TEST(GenFuzz, DifferentialBattery) {
                 etcs::core::TaskOptions portfolio;
                 portfolio.lintInstance = false;
                 portfolio.backendFactory = [] {
-                    return etcs::cnf::makePortfolioBackend(2, /*deterministic=*/true);
+                    etcs::sat::PortfolioOptions lockStep;
+                    lockStep.numThreads = 2;
+                    lockStep.deterministic = true;
+                    lockStep.soloProbeConflicts = 4096;
+                    return etcs::cnf::makePortfolioBackend(std::move(lockStep));
                 };
                 EXPECT_EQ(
                     etcs::core::verifySchedule(instance, finest, portfolio).feasible,

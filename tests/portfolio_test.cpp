@@ -17,21 +17,28 @@
 //    out cancellation/teardown races (run under TSan in CI).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <mutex>
 #include <random>
 #include <set>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cnf/backend.hpp"
 #include "cnf/collect.hpp"
-#include "obs/metrics.hpp"
 #include "core/encoder.hpp"
 #include "core/instance.hpp"
 #include "core/tasks.hpp"
+#include "obs/trace.hpp"
 #include "sat/drat_check.hpp"
 #include "sat/portfolio.hpp"
 #include "sat/proof.hpp"
@@ -615,15 +622,12 @@ TEST(PortfolioAssumptions, ModelSurvivesUnsatAndCancelledSolves) {
     }
 }
 
-TEST(PortfolioBackend, ExposesTheCoreAndRecordsItsSize) {
+TEST(PortfolioBackend, ExposesTheCore) {
     const auto backend = cnf::makePortfolioBackend(2);
     for (int v = 0; v < 2; ++v) {
         backend->addVariable();
     }
     backend->addClause({Literal::positive(0), Literal::positive(1)});
-
-    auto& registry = etcs::obs::Registry::global();
-    registry.gauge("etcs.sat.portfolio.core_size").set(-1.0);
 
     const std::vector<Literal> assumptions{Literal::negative(0), Literal::negative(1)};
     ASSERT_EQ(backend->solve(assumptions), SolveStatus::Unsat);
@@ -633,8 +637,32 @@ TEST(PortfolioBackend, ExposesTheCoreAndRecordsItsSize) {
         EXPECT_NE(std::find(assumptions.begin(), assumptions.end(), l),
                   assumptions.end());
     }
-    EXPECT_EQ(registry.gauge("etcs.sat.portfolio.core_size").value(),
-              static_cast<double>(core.size()));
+}
+
+/// The backend adds its trace hooks to the caller's worker hooks; it must
+/// not replace them.
+TEST(PortfolioBackend, RunsTheCallersWorkerHooks) {
+    PortfolioOptions options;
+    options.numThreads = 2;
+    std::mutex mutex;
+    std::vector<int> started;
+    std::vector<int> finished;
+    options.onWorkerStart = [&](int worker) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        started.push_back(worker);
+    };
+    options.onWorkerFinish = [&](int worker, SolveStatus, const SolverStats&) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        finished.push_back(worker);
+    };
+    const auto backend = cnf::makePortfolioBackend(std::move(options));
+    backend->addVariable();
+    backend->addClause({Literal::positive(0)});
+    ASSERT_EQ(backend->solve(std::span<const Literal>{}), SolveStatus::Sat);
+    std::sort(started.begin(), started.end());
+    std::sort(finished.begin(), finished.end());
+    EXPECT_EQ(started, (std::vector<int>{0, 1}));
+    EXPECT_EQ(finished, (std::vector<int>{0, 1}));
 }
 
 /// Regression for the SAT-side portfolio slowdown: an instance the probe's
@@ -759,15 +787,25 @@ TEST(PortfolioProgress, RacingWorkerZeroHonoursTheUserInterval) {
     EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
 }
 
-TEST(PortfolioSoloProbe, BackendEnablesTheGateByDefaultAndRecordsTheMetric) {
-    auto& registry = etcs::obs::Registry::global();
-    const auto before = registry.counter("etcs.sat.portfolio.gated").value();
+/// The default multi-thread backend gates easy solves: the trace of a
+/// trivially SAT solve shows worker 0's span and no other worker's.
+TEST(PortfolioSoloProbe, BackendEnablesTheGateByDefault) {
     const auto backend = cnf::makePortfolioBackend(2);
     backend->addVariable();
     backend->addClause({Literal::positive(0)});
-    ASSERT_EQ(backend->solve(std::span<const Literal>{}), SolveStatus::Sat);
+    const std::string path = ::testing::TempDir() + "portfolio_test_gate." +
+                             std::to_string(::getpid()) + ".trace.json";
+    ASSERT_TRUE(obs::Tracer::start(path));
+    const SolveStatus status = backend->solve(std::span<const Literal>{});
+    obs::Tracer::stop();
+    std::ifstream in(path);
+    const std::string trace{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+    std::remove(path.c_str());
+
+    ASSERT_EQ(status, SolveStatus::Sat);
     EXPECT_TRUE(backend->modelValue(Literal::positive(0)));
-    EXPECT_EQ(registry.counter("etcs.sat.portfolio.gated").value(), before + 1);
+    EXPECT_NE(trace.find(R"("args":{"worker":0})"), std::string::npos) << trace;
+    EXPECT_EQ(trace.find(R"("args":{"worker":1})"), std::string::npos) << trace;
 }
 
 // The worker ceiling is checked first: these counts would otherwise reserve
@@ -786,7 +824,10 @@ TEST(PortfolioOptions, WorkerCountAboveTheCeilingIsRejected) {
 TEST(PortfolioBackend, ReportsItsNameAndThreadCount) {
     const auto backend = cnf::makePortfolioBackend(3);
     EXPECT_EQ(backend->name(), "portfolio-cdcl(3)");
-    const auto deterministic = cnf::makePortfolioBackend(2, /*deterministic=*/true);
+    PortfolioOptions lockStep;
+    lockStep.numThreads = 2;
+    lockStep.deterministic = true;
+    const auto deterministic = cnf::makePortfolioBackend(std::move(lockStep));
     EXPECT_EQ(deterministic->name(), "portfolio-cdcl(2,deterministic)");
 }
 

@@ -11,7 +11,6 @@
 #include "core/encoder.hpp"
 #include "core/instance.hpp"
 #include "core/provenance.hpp"
-#include "obs/metrics.hpp"
 #include "sat/drat_check.hpp"
 #include "sat/proof.hpp"
 #include "sat/solver.hpp"
@@ -190,28 +189,6 @@ TEST(EncoderProvenance, EveryClauseHasAtMostOneSpan) {
     // The encoding is dominated by domain constraints; tagging must cover
     // the bulk of it, not just a token family.
     EXPECT_GT(table->taggedClauses(), backend.numClauses() / 2);
-}
-
-TEST(EncoderProvenance, RecordsPerEntityMetrics) {
-    CorridorWorld w;
-    const Instance instance(w.network, w.trains, w.schedule(0, 6), kRes);
-
-    auto& registry = obs::Registry::global();
-    const auto spansBefore = registry.counter("etcs.provenance.spans").value();
-    const auto taggedBefore = registry.counter("etcs.provenance.clauses.tagged").value();
-
-    cnf::CollectingBackend backend;
-    EncoderOptions options;
-    options.trackProvenance = true;
-    Encoder encoder(backend, instance, options);
-    encoder.encode(nullptr);
-
-    const ProvenanceTable* table = encoder.provenance();
-    ASSERT_NE(table, nullptr);
-    EXPECT_EQ(registry.counter("etcs.provenance.spans").value() - spansBefore,
-              table->numSpans());
-    EXPECT_EQ(registry.counter("etcs.provenance.clauses.tagged").value() - taggedBefore,
-              table->taggedClauses());
 }
 
 // -------------------------------------------- core attribution roundtrip --

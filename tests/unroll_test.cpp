@@ -31,7 +31,6 @@
 #include "core/layout.hpp"
 #include "core/tasks.hpp"
 #include "core/validator.hpp"
-#include "obs/metrics.hpp"
 #include "railway/io.hpp"
 #include "sat/dimacs.hpp"
 #include "sat/drat_check.hpp"
@@ -205,9 +204,6 @@ TEST(Unroll, OptimizeReportsHorizonTooShort) {
     shortened.setHorizon(study.resolution.temporal +
                          study.resolution.temporal);  // two steps: nobody finishes
     const Instance instance(study.network, study.trains, shortened, study.resolution);
-    const auto before = obs::Registry::global()
-                            .counter("etcs.task.optimize.horizon_too_short")
-                            .value();
     const auto result = optimizeSchedule(instance, taskOptions());
     EXPECT_FALSE(result.feasible);
     EXPECT_EQ(result.verdict, OptimizeVerdict::HorizonTooShort);
@@ -215,10 +211,6 @@ TEST(Unroll, OptimizeReportsHorizonTooShort) {
     EXPECT_GT(result.completionLowerBound, instance.horizonSteps() - 1);
     EXPECT_EQ(result.stats.solveCalls, 0U);
     EXPECT_EQ(result.stats.numClauses, 0U) << "rejection must not encode";
-    EXPECT_EQ(obs::Registry::global()
-                  .counter("etcs.task.optimize.horizon_too_short")
-                  .value(),
-              before + 1);
 }
 
 /// A feasible optimization must NOT be classified as HorizonTooShort.
@@ -320,22 +312,6 @@ TEST(Unroll, NordlandsbanenClauseReduction) {
     EXPECT_LE(probed.stats.numClauses * 100, baseline.numClauses * 85)
         << "unrolled formula " << probed.stats.numClauses << " vs full horizon "
         << baseline.numClauses;
-}
-
-TEST(Unroll, MirrorsCountersIntoTheMetricsRegistry) {
-    auto& registry = obs::Registry::global();
-    const auto probesBefore = registry.counter("etcs.unroll.probes").value();
-    const studies::CaseStudy study = studies::runningExample();
-    const Instance open(study.network, study.trains, study.openSchedule,
-                        study.resolution);
-    const auto result = optimizeSchedule(open, taskOptions());
-    ASSERT_TRUE(result.feasible);
-    EXPECT_GE(registry.counter("etcs.unroll.probes").value(),
-              probesBefore + static_cast<std::uint64_t>(result.stats.unrollProbes));
-    EXPECT_EQ(registry.gauge("etcs.unroll.final_horizon").value(),
-              static_cast<double>(result.stats.unrollFinalHorizon));
-    EXPECT_EQ(registry.gauge("etcs.unroll.start_horizon").value(),
-              static_cast<double>(result.stats.unrollStartHorizon));
 }
 
 }  // namespace

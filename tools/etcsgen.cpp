@@ -17,8 +17,10 @@
 /// Identical parameters produce byte-identical files on every platform (the
 /// generator draws raw mt19937_64 outputs; see docs/GENERATOR.md).
 /// Exit code: 0 = all instances written, 2 = usage or I/O error.
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -30,6 +32,7 @@
 #include "gen/generator.hpp"
 #include "railway/io.hpp"
 #include "sat/dimacs.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -38,16 +41,6 @@ void printUsage(std::ostream& os) {
           "               [--schedule <feasible|tight|infeasible|all>]\n"
           "               [--rs <metres>] [--rt <seconds>] [--out <dir>] [--dimacs]\n"
           "  families: corridor station junction ring single_track network\n";
-}
-
-bool parseInt(const std::string& text, long long& out) {
-    try {
-        std::size_t used = 0;
-        out = std::stoll(text, &used);
-        return used == text.size();
-    } catch (const std::exception&) {
-        return false;
-    }
 }
 
 }  // namespace
@@ -74,7 +67,7 @@ int main(int argc, char** argv) {
             }
             return std::string(argv[++i]);
         };
-        long long number = 0;
+        constexpr int kIntMax = std::numeric_limits<int>::max();
         if (arg == "-h" || arg == "--help") {
             printUsage(std::cout);
             return 0;
@@ -111,40 +104,44 @@ int main(int argc, char** argv) {
             }
         } else if (arg == "--seed") {
             const auto v = value("--seed");
-            if (!v || !parseInt(*v, number) || number < 0) {
+            const auto seed = v ? etcs::parseInteger<std::uint64_t>(
+                                      v->c_str(), 0, std::numeric_limits<std::uint64_t>::max())
+                                : std::nullopt;
+            if (!seed) {
                 std::cerr << "error: --seed expects a nonnegative integer\n";
                 return 2;
             }
-            base.seed = static_cast<std::uint64_t>(number);
+            base.seed = *seed;
             sawSeed = true;
         } else if (arg == "--size") {
             const auto v = value("--size");
-            if (!v || !parseInt(*v, number) || number < 1) {
-                std::cerr << "error: --size expects a positive integer\n";
+            const auto size = v ? etcs::parseInteger(v->c_str(), 1, kIntMax) : std::nullopt;
+            if (!size) {
+                std::cerr << "error: --size expects an integer in [1, " << kIntMax << "]\n";
                 return 2;
             }
-            base.size = static_cast<int>(number);
+            base.size = *size;
         } else if (arg == "--trains") {
             const auto v = value("--trains");
-            if (!v || !parseInt(*v, number) || number < 0) {
-                std::cerr << "error: --trains expects a nonnegative integer\n";
+            const auto trains = v ? etcs::parseInteger(v->c_str(), 0, kIntMax) : std::nullopt;
+            if (!trains) {
+                std::cerr << "error: --trains expects an integer in [0, " << kIntMax << "]\n";
                 return 2;
             }
-            base.trains = static_cast<int>(number);
-        } else if (arg == "--rs") {
-            const auto v = value("--rs");
-            if (!v || !parseInt(*v, number) || number < 1) {
-                std::cerr << "error: --rs expects a positive metre count\n";
+            base.trains = *trains;
+        } else if (arg == "--rs" || arg == "--rt") {
+            const char* flag = argv[i];
+            const auto v = value(flag);
+            const auto count =
+                v ? etcs::parseResolutionArgument(flag, v->c_str()) : std::nullopt;
+            if (!count) {
                 return 2;
             }
-            base.resolution.spatial = etcs::Meters(number);
-        } else if (arg == "--rt") {
-            const auto v = value("--rt");
-            if (!v || !parseInt(*v, number) || number < 1) {
-                std::cerr << "error: --rt expects a positive second count\n";
-                return 2;
+            if (arg == "--rs") {
+                base.resolution.spatial = etcs::Meters(*count);
+            } else {
+                base.resolution.temporal = etcs::Seconds(*count);
             }
-            base.resolution.temporal = etcs::Seconds(number);
         } else if (arg == "--out") {
             const auto v = value("--out");
             if (!v) {
