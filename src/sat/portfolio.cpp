@@ -16,7 +16,7 @@ namespace {
 /// library defaults, so a 1-thread portfolio behaves exactly like a plain
 /// Solver). The table cycles for portfolios wider than its period.
 struct DiversityConfig {
-    int restartBase;
+    double restartMargin;
     double variableDecay;
     bool defaultPolarity;
     bool phaseSaving;
@@ -24,13 +24,13 @@ struct DiversityConfig {
 };
 
 constexpr DiversityConfig kDiversityConfigs[] = {
-    {50, 0.95, true, true, false},    // fast Luby restarts, opposite polarity
-    {400, 0.85, false, true, true},   // slow restarts, aggressive decay, noisy phases
-    {100, 0.99, false, false, false}, // sluggish decay, no phase saving
-    {30, 0.90, true, true, true},     // very fast restarts
-    {800, 0.95, false, true, false},  // near-monolithic runs between restarts
-    {150, 0.80, true, false, true},   // sharp decay, fresh phases each time
-    {250, 0.97, false, true, true},
+    {0.85, 0.95, true, true, false},   // eager restarts, opposite polarity
+    {0.75, 0.85, false, true, true},   // lazy restarts, aggressive decay, noisy phases
+    {0.80, 0.99, false, false, false}, // sluggish decay, no phase saving
+    {0.90, 0.90, true, true, true},    // very eager restarts
+    {0.70, 0.95, false, true, false},  // long runs between restarts
+    {0.80, 0.80, true, false, true},   // sharp decay, fresh phases each time
+    {0.75, 0.97, false, true, true},
 };
 
 }  // namespace
@@ -417,7 +417,7 @@ SolveStatus PortfolioSolver::solve(std::span<const Literal> assumptions) {
                 kDiversityConfigs[static_cast<std::size_t>(worker->id - 1) %
                                   std::size(kDiversityConfigs)];
             SolverOptions& opts = worker->solver.options();
-            opts.restartBase = config.restartBase;
+            opts.restartMargin = config.restartMargin;
             opts.variableDecay = config.variableDecay;
             opts.defaultPolarity = config.defaultPolarity;
             opts.phaseSaving = config.phaseSaving;

@@ -2,7 +2,7 @@
 /// A parallel portfolio over the internal CDCL solver.
 ///
 /// N diversified Solver instances (varying diversification seed, phase
-/// polarity, Luby restart base, and VSIDS decay) attack the same formula on
+/// polarity, restart margin, and VSIDS decay) attack the same formula on
 /// std::threads. Short learnt clauses (size/LBD-capped) are exported into
 /// the other workers' bounded inboxes and imported at restart boundaries;
 /// the first worker to reach a verdict cancels the rest through the

@@ -64,25 +64,21 @@ TEST(GarbageCollection, ManualCompactionPreservesResults) {
 
 TEST(GarbageCollection, CompactionReclaimsWastedWords) {
     Solver solver;
-    // Aggressive clause-DB reduction so clauses get freed.
-    solver.options().learntSizeFactor = 0.001;
-    solver.options().learntSizeIncrement = 1.01;
+    // Early clause-DB reductions so clauses get freed.
+    solver.options().reduceInterval = 1;
     addPigeonhole(solver, 8, 7);
     ASSERT_EQ(solver.solve(), SolveStatus::Unsat);
-    // Either the automatic trigger already compacted, or waste remains and a
-    // manual compaction removes it.
-    if (solver.stats().garbageCollections == 0) {
-        const std::size_t before = solver.wastedArenaWords();
-        solver.compactClauseDatabase();
-        EXPECT_LE(solver.wastedArenaWords(), before);
-    }
+    ASSERT_GT(solver.stats().removedClauses, 0u)
+        << "test misconfigured: no clause-DB reduction happened";
+    // Reductions after the last automatic compaction (if any) leave waste
+    // below the trigger; a manual compaction reclaims all of it.
+    solver.compactClauseDatabase();
     EXPECT_EQ(solver.wastedArenaWords(), 0u);
 }
 
 TEST(GarbageCollection, AutomaticTriggerFiresOnHardInstances) {
     Solver solver;
-    solver.options().learntSizeFactor = 0.001;
-    solver.options().learntSizeIncrement = 1.0;
+    solver.options().reduceInterval = 1;
     addPigeonhole(solver, 9, 8);
     ASSERT_EQ(solver.solve(), SolveStatus::Unsat);
     EXPECT_GT(solver.stats().removedClauses, 0u);
